@@ -11,14 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Callable, Optional, Set, Tuple
+
+import numpy as np
 
 from .graphs import Graph, stats
-from .spectra import EnergyValues, Spectrum, eigenvalues, energy_values
-
-# Radicands within [-CLAMP_TOL*scale, 0) are rounding dust and clamp to zero;
-# anything more negative is a caller error.
-CLAMP_TOL = 1e-9
+from .spectra import (
+    DUST_TOL,
+    TIGHT_TOL,
+    VIOLATION_TOL,
+    EnergyValues,
+    Spectrum,
+    eigenvalues,
+    energy_values,
+)
 
 LEMMA_HOLDS = "holds"
 LEMMA_VIOLATED = "violated"
@@ -28,9 +34,15 @@ REGIME_FIRST = "first"
 REGIME_SECOND = "second"
 
 
-def _checked_sqrt(x: float, scale: float, what: str) -> float:
+def _checked_sqrt(x, scale, what: str):
+    """Square root with rounding dust clamped to zero.  A scalar radicand
+    below -DUST_TOL*max(1, scale) is a caller error and raises; an array
+    clamps every entry, because a sweep batch carries rows the solver flagged,
+    whose meaningless values are discarded later and must not abort it."""
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.maximum(x, 0.0))
     if x < 0.0:
-        if x >= -CLAMP_TOL * max(1.0, scale):
+        if x >= -DUST_TOL * max(1.0, scale):
             return 0.0
         raise ValueError(f"negative radicand {x:.6e} in {what}")
     return math.sqrt(x)
@@ -122,60 +134,92 @@ def lower_bound(n: int) -> float:
     return 2.0 * math.sqrt(n - 1.0)
 
 
-def intermediate_bounds_even(n: int, m: int, alpha: float) -> Tuple[float, float]:
-    """Two-step bounds for even n: f1 from the top half-spectrum moment,
-    f2 from the bottom half-spectrum.  HE <= min(f1, f2) whenever m >= n-1."""
-    _validate_nm(n, m, 0)
-    if alpha > 2.0 * m + CLAMP_TOL * max(1.0, 2.0 * m):
-        raise ValueError(f"alpha={alpha} exceeds 2m={2 * m}")
+def intermediate_bounds(n: int, m, alpha, beta=None):
+    """Two-step bounds from the half-spectrum moments, for n >= 2:
+    f1 = 4m/n + 2*sqrt((r-1)(alpha - 4m^2/n^2)) + beta and
+    f2 = 2*sqrt(r(2m - alpha - beta^2)) - beta, with r = floor(n/2) and beta
+    the median eigenvalue of odd n (0 for even n).
+
+    HE <= min(f1, f2) whenever m >= n-1, for even n and for odd n >= 5 (at
+    n=3 the 3-vertex path already slips below f1).  m, alpha and beta are
+    scalars, or arrays of one batch (see _checked_sqrt).
+    """
+    for extreme in (np.min(m), np.max(m)):
+        _validate_nm(n, extreme, n % 2)
+    if n % 2 == 0:
+        beta = 0.0
+    if not isinstance(alpha, np.ndarray) and alpha + beta * beta > 2.0 * m + DUST_TOL * max(1.0, 2.0 * m):
+        raise ValueError(f"top half-spectrum moment {alpha + beta * beta} exceeds 2m={2 * m}")
     r = n // 2
-    f1 = 2.0 * m / r + 2.0 * _checked_sqrt(
-        (r - 1) * (alpha - m * m / float(r * r)), max(1.0, alpha), "even f1"
-    )
-    f2 = 2.0 * _checked_sqrt(r * (2.0 * m - alpha), max(1.0, 2.0 * m), "even f2")
+    f1 = 4.0 * m / n + 2.0 * _checked_sqrt((r - 1) * (alpha - 4.0 * m * m / (n * n)), alpha, "f1") + beta
+    f2 = 2.0 * _checked_sqrt(r * (2.0 * m - alpha - beta * beta), 2.0 * m, "f2") - beta
     return f1, f2
 
 
-def intermediate_bounds_odd(n: int, m: int, alpha: float, beta: float) -> Tuple[float, float]:
-    """Two-step bounds for odd n >= 3, analogous to the even case but
-    carrying the median eigenvalue beta.
-
-    The values are always computable, but min(f1, f2) dominates the
-    half-spectrum energy only under the hypothesis m >= n-1 >= 3, i.e.
-    odd n >= 5 (at n=3 the 3-vertex path already slips below f1).
-    """
-    _validate_nm(n, m, 1)
-    if n < 3:
-        raise ValueError("odd intermediates need n >= 3")
-    if alpha + beta * beta > 2.0 * m + CLAMP_TOL * max(1.0, 2.0 * m):
-        raise ValueError(f"alpha+beta^2={alpha + beta * beta} exceeds 2m={2 * m}")
-    r = (n - 1) // 2
-    f1 = (
-        4.0 * m / n
-        + 2.0 * _checked_sqrt((r - 1) * (alpha - 4.0 * m * m / float(n * n)), max(1.0, alpha), "odd f1")
-        + beta
-    )
-    f2 = 2.0 * _checked_sqrt(r * (2.0 * m - alpha - beta * beta), max(1.0, 2.0 * m), "odd f2") - beta
-    return f1, f2
+def intermediate_bounds_even(n: int, m, alpha):
+    """intermediate_bounds for even n."""
+    if n % 2:
+        raise ValueError(f"n={n} must be even and >= 2")
+    return intermediate_bounds(n, m, alpha)
 
 
-def lemma1_check(n: int, m: int, alpha: float, tol: float = 1e-8) -> str:
-    """Tri-state check of the half-spectrum moment inequality
-    alpha/r <= 4m^2/n^2, evaluated when m >= n-1 >= 2.
+def intermediate_bounds_odd(n: int, m, alpha, beta):
+    """intermediate_bounds for odd n >= 3."""
+    if n % 2 == 0:
+        raise ValueError(f"n={n} must be odd and >= 2")
+    return intermediate_bounds(n, m, alpha, beta)
 
-    Returns "holds", "violated", or "not_applicable".  This evaluates the
-    inequality truthfully rather than asserting it: the stated hypothesis
-    admits genuine counterexamples, so "violated" is a correct answer
-    there, not an error.  The 3-vertex path has alpha/r = 2 > 16/9, and
-    K4 plus three isolated vertices has alpha/r = 3 > 144/49.  The
-    inequality is a theorem for m >= n, and for connected graphs with
-    m = n-1 once n >= 4.
-    """
-    if n < 3 or m < n - 1:
+
+def violated(slack, bound, tol: float = VIOLATION_TOL, strict: bool = False):
+    """The verdict rule: a bound with this slack (bound minus value for an
+    upper bound, value minus bound for a lower one) is violated when slack <
+    -tol*max(1, |bound|), or slack <= 0 if strict.  Scalars or arrays."""
+    if strict:
+        return slack <= 0.0
+    return slack < -tol * np.maximum(1.0, np.abs(bound))
+
+
+def tight(slack, bound, tol: float = TIGHT_TOL):
+    """Equality within tol*max(1, |bound|).  Scalars or arrays."""
+    return np.abs(slack) <= tol * np.maximum(1.0, np.abs(bound))
+
+
+# ─── the half-moment inequality alpha/r <= 4m^2/n^2 ─────────────────────────
+
+
+def lemma1_terms(n: int, m, alpha):
+    """Both sides of the half-moment inequality: (alpha/r, 4m^2/n^2)."""
+    return alpha / (n // 2), 4.0 * m * m / (n * n)
+
+
+def lemma1_stated_domain(n: int, m):
+    """The hypothesis the inequality is usually stated under, m >= n-1 >= 2.
+    It admits genuine counterexamples: the 3-vertex path has alpha/r = 2 >
+    16/9, and K4 plus three isolated vertices has alpha/r = 3 > 144/49."""
+    return np.logical_and(n >= 3, m >= n - 1)
+
+
+def lemma1_theorem_domain(n: int, m, connected: Callable[[], np.ndarray]):
+    """Where the inequality is a theorem, and so where a sweep asserts it:
+    m >= n (a cycle exists, forcing alpha <= 2m-2), or a connected graph with
+    m = n-1 (a tree, alpha = m) once n >= 4.  connected() gives the
+    connectivity of every graph; it is called only if some m = n-1."""
+    domain = m >= n
+    if n >= 4:
+        trees = m == n - 1
+        if np.any(trees):
+            domain = domain | (trees & connected())
+    return domain
+
+
+def lemma1_check(n: int, m: int, alpha: float, tol: float = VIOLATION_TOL) -> str:
+    """Tri-state check of the half-spectrum moment inequality on its stated
+    domain: "holds", "violated" or "not_applicable".  It evaluates rather than
+    asserts, so "violated" is a correct answer there, not an error."""
+    if not lemma1_stated_domain(n, m):
         return LEMMA_NOT_APPLICABLE
-    r = n // 2
-    rhs = 4.0 * m * m / float(n * n)
-    return LEMMA_HOLDS if alpha / r <= rhs + tol * max(1.0, rhs) else LEMMA_VIOLATED
+    value, bound = lemma1_terms(n, m, alpha)
+    return LEMMA_VIOLATED if violated(bound - value, bound, tol) else LEMMA_HOLDS
 
 
 # ─── per-graph report ───────────────────────────────────────────────────────
@@ -206,14 +250,8 @@ def bound_report(g: Graph, spectrum: Optional[Spectrum] = None) -> BoundReport:
     n, m = g.n, st.m
     s = spectrum if spectrum is not None else eigenvalues(g)
     ev = energy_values(s)
-    upper_nm = regime = None
-    f1 = f2 = None
-    if n >= 2:
-        upper_nm, regime = upper_bound(n, m)
-        if n % 2 == 0:
-            f1, f2 = intermediate_bounds_even(n, m, ev.alpha)
-        elif n >= 3:
-            f1, f2 = intermediate_bounds_odd(n, m, ev.alpha, ev.beta)
+    upper_nm, regime = upper_bound(n, m) if n >= 2 else (None, None)
+    f1, f2 = intermediate_bounds(n, m, ev.alpha, ev.beta) if n >= 2 else (None, None)
     upper_n = upper_bound_order(n) if n >= 1 else None
     lower = lower_bound(n) if n >= 2 else None
     lower_applies = n >= 2 and not st.has_isolated
@@ -236,18 +274,12 @@ def bound_report(g: Graph, spectrum: Optional[Spectrum] = None) -> BoundReport:
     )
 
 
-def classify_equality(report: BoundReport, tol: float = 1e-6) -> Set[str]:
+def classify_equality(report: BoundReport, tol: float = TIGHT_TOL) -> Set[str]:
     """Tags for bounds met with equality, at relative tolerance
     tol*max(1, bound)."""
-    tags: Set[str] = set()
     he = report.energies.huckel
-    if report.upper_nm is not None and abs(report.upper_nm - he) <= tol * max(1.0, report.upper_nm):
-        tags.add("upper_nm_tight")
-    if report.upper_n is not None and abs(report.upper_n - he) <= tol * max(1.0, report.upper_n):
-        tags.add("upper_n_tight")
-    if report.lower is not None and abs(he - report.lower) <= tol * max(1.0, report.lower):
-        tags.add("lower_tight")
-    return tags
+    bounds = {"upper_nm_tight": report.upper_nm, "upper_n_tight": report.upper_n, "lower_tight": report.lower}
+    return {tag for tag, bound in bounds.items() if bound is not None and tight(bound - he, bound, tol)}
 
 
 def scan_order_bound(n: int) -> dict:

@@ -18,8 +18,11 @@ from .bounds import (
     classify_equality,
     lower_bound,
     scan_order_bound,
+    tight,
     upper_bound,
+    upper_bound_applies,
     upper_bound_order,
+    violated,
 )
 from .constructions import (
     ConstructionError,
@@ -30,8 +33,8 @@ from .constructions import (
     paley_graph,
     verify_remark_spectrum,
 )
-from .graphs import Graph, Graph6Error, parse_graph6, write_graph6
-from .spectra import eigenvalues, energy_values, group_spectrum
+from .graphs import Graph, Graph6Error, graph6_records, parse_graph6, write_graph6
+from .spectra import TIGHT_TOL, VIOLATION_TOL, eigenvalues, energy_values, group_spectrum
 from .srg import (
     extremal_family_params,
     predicted_extremal_he,
@@ -97,7 +100,7 @@ def _analyze_record(g: Graph, tol: float) -> dict:
 def _cmd_analyze(args) -> int:
     if args.file and args.file != "-":
         try:
-            fh = open(args.file, "r", encoding="ascii")
+            fh = open(args.file, "r", encoding="latin-1")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -105,10 +108,7 @@ def _cmd_analyze(args) -> int:
         fh = sys.stdin
     status = EXIT_OK
     try:
-        for ln, line in enumerate(fh, start=1):
-            record = line.strip()
-            if not record:
-                continue
+        for ln, record in graph6_records(fh):
             try:
                 g = parse_graph6(record)
             except Graph6Error as exc:
@@ -135,7 +135,7 @@ def _spectrum_match(g: Graph, params) -> dict:
         "spectrum_predicted": [[v, mult] for v, mult in predicted],
         "spectrum_grouped": [[v, mult] for v, mult in group_spectrum(spec.values)],
         "max_spectrum_deviation": max_dev,
-        "spectrum_matches": max_dev <= 1e-6,
+        "spectrum_matches": max_dev <= TIGHT_TOL,
     }
 
 
@@ -164,46 +164,37 @@ def _cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    spec = eigenvalues(g)
-    ev = energy_values(spec)
-    cert.update({"n": g.n, "m": g.m, "he": ev.huckel, "energy": ev.energy})
+    ev = energy_values(eigenvalues(g))
+    he = ev.huckel
+    cert.update({"n": g.n, "m": g.m, "he": he, "energy": ev.energy})
     params = srg_params(g)
     cert["params"] = list(params.as_tuple()) if params else None
+    cert["upper_n"] = order = upper_bound_order(g.n)
+    if family != "remark":
+        value, regime = upper_bound(g.n, g.m)
+        cert.update({"upper_nm": value, "upper_nm_regime": regime})
 
     if family == "conference":
-        tt = cert["t"]
         expected = (q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
         cert["params_expected"] = list(expected)
         cert["params_verified"] = params is not None and params.as_tuple() == expected
         if params:
             cert.update(_spectrum_match(g, params))
-        stated = conference_he_closed_form(tt) if tt >= 1 else None
+        stated = conference_he_closed_form(cert["t"])
         cert["he_closed_form_stated"] = stated
-        cert["closed_form_consistent"] = (
-            stated is not None and abs(stated - ev.huckel) <= 1e-6 * max(1.0, abs(stated))
-        )
-        cert["closed_form_discrepancy"] = None if stated is None else ev.huckel - stated
-        value, regime = upper_bound(g.n, g.m)
-        cert["upper_nm"] = value
-        cert["upper_nm_regime"] = regime
-        cert["upper_nm_satisfied"] = ev.huckel <= value + 1e-8 * max(1.0, value)
-        order = upper_bound_order(g.n)
-        cert["upper_n"] = order
-        cert["upper_n_satisfied"] = ev.huckel <= order + 1e-8 * max(1.0, order)
-        cert["lower"] = lower_bound(g.n)
-        cert["lower_satisfied"] = ev.huckel >= cert["lower"] - 1e-8
+        cert["closed_form_consistent"] = bool(tight(he - stated, stated))
+        cert["closed_form_discrepancy"] = he - stated
+        cert["lower"] = lower = lower_bound(g.n)
+        cert["upper_nm_satisfied"] = not violated(value - he, value)
+        cert["upper_n_satisfied"] = not violated(order - he, order)
+        cert["lower_satisfied"] = not violated(he - lower, lower)
     elif family in ("switched", "extremal"):
         expected = (switched_family_params(t) if family == "switched" else extremal_family_params(t))
         cert["params_expected"] = list(expected.as_tuple())
         cert["params_verified"] = params == expected
         cert.update(_spectrum_match(g, expected))
-        order = upper_bound_order(g.n)
-        cert["upper_n"] = order
-        cert["slack_upper_n"] = order - ev.huckel
-        value, regime = upper_bound(g.n, g.m)
-        cert["upper_nm"] = value
-        cert["upper_nm_regime"] = regime
-        cert["slack_upper_nm"] = value - ev.huckel
+        cert["slack_upper_n"] = order - he
+        cert["slack_upper_nm"] = value - he
         if family == "extremal":
             cert["he_predicted"] = predicted_extremal_he(t)
     else:  # remark
@@ -212,14 +203,12 @@ def _cmd_construct(args) -> int:
         cert["max_spectrum_deviation"] = rep.max_deviation
         cert["cubic_roots"] = list(rep.cubic_roots)
         cert["lambda3"] = rep.cubic_roots[2]
-        cert["lambda3_threshold"] = -math.sqrt(2.0) * t
-        cert["lambda3_below_threshold"] = rep.cubic_roots[2] < -math.sqrt(2.0) * t
+        cert["lambda3_threshold"] = threshold = -math.sqrt(2.0) * t
+        cert["lambda3_below_threshold"] = rep.cubic_roots[2] < threshold
         estimate = 2.0 * (2 * t * t + 2 * t) * (t + 1) + 2.0 * math.sqrt(2.0) * t
         cert["he_lower_estimate"] = estimate
-        cert["he_exceeds_estimate"] = ev.huckel > estimate
-        order = upper_bound_order(g.n)
-        cert["upper_n"] = order
-        cert["slack_upper_n"] = order - ev.huckel
+        cert["he_exceeds_estimate"] = he > estimate
+        cert["slack_upper_n"] = order - he
 
     print(write_graph6(g))
     if args.cert:
@@ -261,18 +250,25 @@ def _cmd_bound(args) -> int:
                 "m": args.m,
                 "upper_nm": value,
                 "regime": regime,
-                "applies": args.n % 2 == 0 or args.m >= args.n - 1,
+                "applies": upper_bound_applies(args.n, args.m),
                 "upper_n": upper_bound_order(args.n),
-                "lower": lower_bound(args.n) if args.n >= 2 else None,
             }
         else:
             out = scan_order_bound(args.n)
-            out["lower"] = lower_bound(args.n) if args.n >= 2 else None
+        out["lower"] = lower_bound(args.n) if args.n >= 2 else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(out)
     return EXIT_OK
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, non-negative float."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="per-graph spectra, energies, bounds (graph6 in, JSON lines out)")
     p.add_argument("file", nargs="?", default="-", help="graph6 file, one record per line (default stdin)")
     p.add_argument("--skip-bad", action="store_true", help="skip malformed records instead of failing")
-    p.add_argument("--tol", type=float, default=1e-6, help="equality-tag tolerance (relative)")
+    p.add_argument("--tol", type=_tolerance, default=TIGHT_TOL, help="equality-tag tolerance (relative)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("construct", help="build a named family member, graph6 to stdout")
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--corpus", help="graph6 file to sweep")
     p.add_argument("--checks", help=f"comma-separated subset of: {','.join(ALL_CHECKS)}")
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default HUCKEL_JOBS or 1)")
-    p.add_argument("--tol", type=float, default=1e-8, help="violation tolerance (relative)")
+    p.add_argument("--tol", type=_tolerance, default=VIOLATION_TOL, help="violation tolerance (relative)")
     p.add_argument("--dump", help="write per-graph CSV rows to this file (serial only)")
     p.add_argument("--skip-bad", action="store_true", help="skip malformed corpus records")
     p.set_defaults(func=_cmd_verify)

@@ -10,10 +10,8 @@ from typing import Tuple
 
 from .graphs import Graph, add_duplicate_vertex, add_isolated_vertex, complement, seidel_switch
 from .gf import FiniteField, is_prime_power, make_field, subfield_coset_partition
-from .spectra import eigenvalues
+from .spectra import SOLVER_TOL, TIGHT_TOL, eigenvalues
 from .srg import extremal_family_params, srg_params, switched_family_params
-
-_BISECT_TOL = 1e-12
 
 
 class ConstructionError(RuntimeError):
@@ -135,7 +133,7 @@ def remark_cubic(t: int) -> Tuple[Tuple[float, float, float, float], Tuple[float
     roots = []
     for a, b in brackets:
         fa = poly(a)
-        while b - a > _BISECT_TOL:
+        while b - a > SOLVER_TOL:
             mid = 0.5 * (a + b)
             fm = poly(mid)
             if fm == 0.0:
@@ -159,7 +157,7 @@ class RemarkSpectrumReport:
     cubic_roots: Tuple[float, float, float]
 
 
-def verify_remark_spectrum(h: Graph, t: int, tol: float = 1e-6) -> RemarkSpectrumReport:
+def verify_remark_spectrum(h: Graph, t: int, tol: float = TIGHT_TOL) -> RemarkSpectrumReport:
     """Match h's spectrum against the duplicated-vertex template
     {x1, t^(2t^2+2t-1), x2, 0, (-t-1)^(2t^2+2t), x3} with x1 >= x2 >= x3 the
     cubic's roots.  The report carries per-entry deviations."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -116,13 +116,7 @@ class Graph:
 
     def dense(self) -> np.ndarray:
         """Adjacency matrix as a float64 numpy array."""
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                a[i, low.bit_length() - 1] = 1.0
-                r ^= low
-        return a
+        return dense_batch((self,), self.n)[0]
 
     def is_connected(self) -> bool:
         """Bitmask flood fill from vertex 0; the empty graph counts as connected."""
@@ -148,6 +142,17 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def dense_batch(graphs: Sequence[Graph], n: int) -> np.ndarray:
+    """Adjacency matrices of graphs of order n as one (B, n, n) float64 array,
+    unpacked from the bit rows in bulk."""
+    if any(g.n != n for g in graphs):
+        raise ValueError(f"dense_batch needs graphs of order {n}")
+    width = (n + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,8 @@ def seidel_switch(g: Graph, switch_set: Iterable[int]) -> Graph:
 # each group emitted as chr(group + 63).  Padding bits must be zero.
 
 _HEADER = ">>graph6<<"
+# The ASCII characters str.strip() drops by default.
+_ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
 
 
 def pair_order(n: int) -> List[Tuple[int, int]]:
@@ -245,6 +252,19 @@ def write_graph6(g: Graph) -> str:
     if nbits:
         out.append(chr(63 + (group << (6 - nbits))))
     return "".join(out)
+
+
+def graph6_records(fh: TextIO) -> Iterator[Tuple[int, str]]:
+    """(line number, record) for every non-blank line of a graph6 stream.
+
+    Only ASCII whitespace around a record is dropped, so a stream decoded as
+    latin-1 hands any non-ASCII byte to parse_graph6, which rejects it with
+    its position.
+    """
+    for ln, line in enumerate(fh, start=1):
+        record = line.strip(_ASCII_SPACE)
+        if record:
+            yield ln, record
 
 
 def parse_graph6(text: str) -> Graph:

@@ -9,10 +9,18 @@ import numpy as np
 
 from .graphs import Graph
 
-# Relative tolerances: eigensolver residual, and the trace/Frobenius sanity
-# checks every spectrum must satisfy (trace 0, sum of squares 2m).
-DEFAULT_EIG_TOL = 1e-12
-INVARIANT_TOL = 1e-9
+# The tolerance policy: every tolerance in the package is one of these four.
+# A bound is violated when its slack < -VIOLATION_TOL * max(1, |bound|).
+VIOLATION_TOL = 1e-8
+# Equality and matching: a bound is tight, or a spectrum matches a predicted
+# one, within TIGHT_TOL (relative to max(1, |bound|), except the sweep's
+# equality witnesses, which use it as an absolute |slack|).
+TIGHT_TOL = 1e-6
+# Rounding dust, relative to max(1, scale): trace/Frobenius invariants,
+# clamped radicands, near-integral SRG multiplicities.
+DUST_TOL = 1e-9
+# Eigensolver residual (relative to n*max(1, |w1|)) and bisection width.
+SOLVER_TOL = 1e-12
 
 
 class SpectralError(RuntimeError):
@@ -40,7 +48,7 @@ class EnergyValues:
     r: int
 
 
-def eigenvalues(g: Graph, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
+def eigenvalues(g: Graph, tol: float = SOLVER_TOL) -> Spectrum:
     """Full spectrum of g via a backward-stable symmetric eigensolver.
 
     The residual max_i ||A v_i - w_i v_i||_inf is computed from the returned
@@ -60,59 +68,77 @@ def eigenvalues(g: Graph, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
     lam1 = abs(float(w[0]))
     if residual > tol * n * max(1.0, lam1):
         raise SpectralError(f"residual {residual:.3e} exceeds {tol:.1e}*n*max(1,|w1|) for n={n}")
-    two_m = 2.0 * g.m
-    if abs(float(w.sum())) > INVARIANT_TOL * max(1.0, two_m):
+    trace_ok, frobenius_ok = invariants_hold(w, g.m)
+    if not trace_ok:
         raise SpectralError(f"trace {w.sum():.3e} deviates from 0 beyond tolerance")
-    if abs(float((w * w).sum()) - two_m) > INVARIANT_TOL * max(1.0, two_m):
-        raise SpectralError(f"Frobenius sum {np.dot(w, w):.6e} deviates from 2m={two_m}")
+    if not frobenius_ok:
+        raise SpectralError(f"Frobenius sum {np.dot(w, w):.6e} deviates from 2m={2.0 * g.m}")
     w.flags.writeable = False
     return Spectrum(values=w, residual=residual)
+
+
+def invariants_hold(w: np.ndarray, m) -> Tuple[np.ndarray, np.ndarray]:
+    """Trace 0 and sum of squares 2m, each to DUST_TOL*max(1, 2m), over the
+    last axis: for one spectrum and its size m, or a (B, n) batch of spectra
+    and their (B,) sizes.  Returns (trace_ok, frobenius_ok)."""
+    two_m = 2.0 * m
+    limit = DUST_TOL * np.maximum(1.0, two_m)
+    return np.abs(w.sum(axis=-1)) <= limit, np.abs((w * w).sum(axis=-1) - two_m) <= limit
 
 
 def _values(s) -> np.ndarray:
     return s.values if isinstance(s, Spectrum) else np.asarray(s, dtype=np.float64)
 
 
-def energy(s: Spectrum) -> float:
-    """Graph energy: sum of absolute eigenvalues."""
-    return float(np.abs(_values(s)).sum())
+def half_spectrum(s):
+    """(HE, alpha, beta) of a non-increasing spectrum, or row by row of a
+    (B, n) batch of them: HE = 2*sum of the top r = floor(n/2) eigenvalues
+    plus, for odd n, the median eigenvalue beta once; alpha = sum of squares
+    of the top r.  beta is None for even n."""
+    w = _values(s)
+    n = w.shape[-1]
+    r = n // 2
+    top = w[..., :r]
+    he = 2.0 * top.sum(axis=-1)
+    alpha = (top ** 2).sum(axis=-1)
+    beta = None
+    if n % 2 == 1:
+        beta = w[..., r]
+        he = he + beta
+    return he, alpha, beta
 
 
-def huckel_energy(s: Spectrum) -> float:
+def energy(s):
+    """Graph energy: sum of absolute eigenvalues, of one spectrum or row by
+    row of a (B, n) batch."""
+    return np.abs(_values(s)).sum(axis=-1)
+
+
+def huckel_energy(s) -> float:
     """Half-filled energy: 2*sum of the top floor(n/2) eigenvalues, plus the
     median eigenvalue once when n is odd."""
-    w = _values(s)
-    n = len(w)
-    r = n // 2
-    he = 2.0 * float(w[:r].sum())
-    if n % 2 == 1:
-        he += float(w[r])
-    return he
+    return float(half_spectrum(s)[0])
 
 
-def alpha_beta(s: Spectrum) -> Tuple[float, Optional[float]]:
+def alpha_beta(s) -> Tuple[float, Optional[float]]:
     """Sum of squares of the top floor(n/2) eigenvalues, and for odd n the
     (floor(n/2)+1)-th eigenvalue."""
-    w = _values(s)
-    n = len(w)
-    r = n // 2
-    alpha = float((w[:r] ** 2).sum())
-    beta = float(w[r]) if n % 2 == 1 else None
-    return alpha, beta
+    _, alpha, beta = half_spectrum(s)
+    return float(alpha), None if beta is None else float(beta)
 
 
 def energy_values(s: Spectrum) -> EnergyValues:
-    alpha, beta = alpha_beta(s)
+    he, alpha, beta = half_spectrum(s)
     return EnergyValues(
-        energy=energy(s),
-        huckel=huckel_energy(s),
-        alpha=alpha,
-        beta=beta,
+        energy=float(energy(s)),
+        huckel=float(he),
+        alpha=float(alpha),
+        beta=None if beta is None else float(beta),
         r=len(_values(s)) // 2,
     )
 
 
-def group_spectrum(values: Sequence[float], gap: float = 1e-6) -> List[Tuple[float, int]]:
+def group_spectrum(values: Sequence[float], gap: float = TIGHT_TOL) -> List[Tuple[float, int]]:
     """Collapse a sorted spectrum into (representative, multiplicity) runs.
 
     Consecutive values closer than gap join the same run; the representative

@@ -8,10 +8,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .graphs import Graph
-
-# Multiplicities closer to an integer than this are rounded; anything farther
-# marks the parameter set infeasible.
-_MULT_TOL = 1e-9
+from .spectra import DUST_TOL
 
 
 class InfeasibleParamsError(ValueError):
@@ -97,7 +94,9 @@ def predicted_spectrum(p: SrgParams) -> List[Tuple[float, int]]:
     out: List[Tuple[float, int]] = []
     for val, mult in ((float(k), 1.0), (r, f), (s, gmult)):
         rounded = round(mult)
-        if abs(mult - rounded) > _MULT_TOL * max(1.0, n) or rounded < 0:
+        # Multiplicities within rounding dust of an integer are rounded;
+        # anything farther marks the parameter set infeasible.
+        if abs(mult - rounded) > DUST_TOL * max(1.0, n) or rounded < 0:
             raise InfeasibleParamsError(f"{p} forces non-integral multiplicity {mult}")
         if rounded:
             out.append((val, int(rounded)))

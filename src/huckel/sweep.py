@@ -9,47 +9,34 @@ as a commutative monoid, so a sweep partitioned over edge-bitmask ranges
 from __future__ import annotations
 
 import csv
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import (
+    intermediate_bounds,
     lemma1_check,
+    lemma1_terms,
+    lemma1_theorem_domain,
     lower_bound,
     upper_bound,
     upper_bound_applies,
     upper_bound_order,
+    violated,
 )
-from .graphs import Graph, Graph6Error, pair_order, parse_graph6, write_graph6
-
-CHECK_LEMMA1 = "lemma1"
-CHECK_UPPER_NM = "upper_nm"
-CHECK_UPPER_N = "upper_n"
-CHECK_LOWER = "lower"
-CHECK_ODD_STRICT = "odd_strict"
-CHECK_INTERMEDIATE = "intermediate"
-ALL_CHECKS: Tuple[str, ...] = (
-    CHECK_LEMMA1,
-    CHECK_UPPER_NM,
-    CHECK_UPPER_N,
-    CHECK_LOWER,
-    CHECK_ODD_STRICT,
-    CHECK_INTERMEDIATE,
-)
+from .graphs import Graph, Graph6Error, dense_batch, graph6_records, pair_order, parse_graph6, write_graph6
+from .spectra import TIGHT_TOL, VIOLATION_TOL, energy, half_spectrum, invariants_hold
 
 ENUM_MAX_N = 7
-DEFAULT_TOL = 1e-8
-WITNESS_TOL = 1e-6
 HIST_RESOLUTION = 1e-3
 _HIST_BINS = 512  # slack histogram covers [0, 0.512); larger slacks overflow
 _WITNESS_CAP = 1000
 _VIOLATION_CAP = 20
 _BATCH = 1 << 16
-_SANITY_TOL = 1e-9
 
 
 @dataclass
@@ -60,18 +47,11 @@ class CheckTally:
     not_applicable: int = 0
 
     def add(self, other: "CheckTally") -> None:
-        self.checked += other.checked
-        self.holds += other.holds
-        self.violated += other.violated
-        self.not_applicable += other.not_applicable
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "checked": self.checked,
-            "holds": self.holds,
-            "violated": self.violated,
-            "not_applicable": self.not_applicable,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -87,6 +67,13 @@ class SweepReport:
     violation_examples: Dict[str, List[str]] = field(default_factory=dict)
     slack_histogram: Dict[str, Dict[int, int]] = field(default_factory=dict)
     solver_failures: List[str] = field(default_factory=list)
+
+    @classmethod
+    def for_checks(cls, n: int, checks: Sequence[str]) -> "SweepReport":
+        rep = cls(n=n)
+        for check in checks:
+            rep._entry(check)
+        return rep
 
     def _entry(self, check: str) -> CheckTally:
         if check not in self.checks:
@@ -153,7 +140,7 @@ class SweepReport:
 def _validate_checks(checks: Sequence[str]) -> Tuple[str, ...]:
     out = tuple(checks)
     for c in out:
-        if c not in ALL_CHECKS:
+        if c not in CHECKS:
             raise ValueError(f"unknown check {c!r}; valid: {', '.join(ALL_CHECKS)}")
     return out
 
@@ -194,11 +181,8 @@ def stream_corpus(path: str, on_error: str = "raise") -> Iterator[Graph]:
     """
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            record = line.strip()
-            if not record:
-                continue
+    with open(path, "r", encoding="latin-1") as fh:
+        for ln, record in graph6_records(fh):
             try:
                 yield parse_graph6(record)
             except Graph6Error as exc:
@@ -223,6 +207,60 @@ def _bound_tables(n: int):
     return vals, regimes, applies
 
 
+# ─── the check table ────────────────────────────────────────────────────────
+
+
+class _Batch:
+    """One eigensolved batch of graphs of order n (spectra w, rows
+    non-increasing, and sizes m), with everything the check rows read.
+    Connectivity is computed only when a row asks for it."""
+
+    def __init__(self, n: int, a: np.ndarray, m: np.ndarray, w: np.ndarray, tables):
+        self.n, self.a, self.m, self.w, self.tables = n, a, m, w, tables
+        self.he, self.alpha, self.beta = half_spectrum(w)
+        self.isolated = (a.sum(axis=2) == 0.0).any(axis=1)
+        self.f1, self.f2 = intermediate_bounds(n, m, self.alpha, self.beta) if n >= 2 else (None, None)
+        if tables is not None:
+            self.upper_nm, self.upper_nm_applies = tables[0][m], tables[2][m]
+
+    def connected(self) -> np.ndarray:
+        return _batch_connected(self.a)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table: at orders n with order(n), every graph in
+    domain(batch) must satisfy value <= bound (upper) or value >= bound
+    (lower), strictly if strict, as bounds.violated decides.  All other graphs
+    and the solver's failures count as not_applicable."""
+
+    name: str
+    order: Callable[[int], bool]
+    domain: Callable[[_Batch], np.ndarray]
+    value: Callable[[_Batch], np.ndarray]
+    bound: Callable[[_Batch], np.ndarray]
+    upper: bool = True
+    strict: bool = False
+
+
+CHECKS: Dict[str, Check] = {c.name: c for c in (
+    Check("lemma1", lambda n: n >= 3, lambda b: lemma1_theorem_domain(b.n, b.m, b.connected),
+          lambda b: lemma1_terms(b.n, b.m, b.alpha)[0], lambda b: lemma1_terms(b.n, b.m, b.alpha)[1]),
+    Check("upper_nm", lambda n: n >= 2, lambda b: b.upper_nm_applies, lambda b: b.he, lambda b: b.upper_nm),
+    Check("upper_n", lambda n: n >= 1, lambda b: np.ones(len(b.m), dtype=bool), lambda b: b.he,
+          lambda b: upper_bound_order(b.n)),
+    Check("lower", lambda n: n >= 2, lambda b: ~b.isolated, lambda b: b.he, lambda b: lower_bound(b.n),
+          upper=False),
+    Check("odd_strict", lambda n: n % 2 == 1 and n >= 3, lambda b: b.upper_nm_applies, lambda b: b.he,
+          lambda b: b.upper_nm, strict=True),
+    # The odd two-step refinement assumes m >= n-1 >= 3, so odd n = 3 is out
+    # of scope (for the 3-vertex path f1 dips below the half-spectrum sum).
+    Check("intermediate", lambda n: n >= 5 or (n >= 2 and n % 2 == 0), lambda b: b.m >= b.n - 1,
+          lambda b: b.he, lambda b: np.minimum(b.f1, b.f2)),
+)}
+ALL_CHECKS: Tuple[str, ...] = tuple(CHECKS)
+
+
 _DUMP_FIELDS = [
     "graph6", "n", "m", "he", "energy", "alpha", "beta",
     "upper_nm", "upper_nm_regime", "upper_nm_applies", "slack_upper_nm",
@@ -231,17 +269,42 @@ _DUMP_FIELDS = [
 ]
 
 
-class _DumpWriter:
-    def __init__(self, path: str):
-        self._fh = open(path, "w", newline="", encoding="ascii")
-        self._w = csv.writer(self._fh)
-        self._w.writerow(_DUMP_FIELDS)
+@contextmanager
+def _dump_writer(path: Optional[str]):
+    """A CSV writer for per-graph rows, header written, or None without a path."""
+    if not path:
+        yield None
+        return
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_DUMP_FIELDS)
+        yield writer
 
-    def rows(self, rows: Iterable[list]) -> None:
-        self._w.writerows(rows)
 
-    def close(self) -> None:
-        self._fh.close()
+def _dump_rows(b: _Batch, tol: float, g6_of) -> List[list]:
+    """Per-graph CSV rows.  The lemma1 column evaluates the inequality on its
+    stated domain (lemma1_check), wider than the domain the sweep asserts."""
+    n, g = b.n, "{:.12g}".format
+    en = energy(b.w)
+    un = upper_bound_order(n) if n >= 1 else None
+    lb = lower_bound(n) if n >= 2 else None
+    rows = []
+    for idx in range(len(b.m)):
+        m, he = int(b.m[idx]), b.he[idx]
+        row = [g6_of(idx), n, m, g(he), g(en[idx]), g(b.alpha[idx]), g(b.beta[idx]) if n % 2 else ""]
+        if n >= 2:
+            nm = b.upper_nm[idx]
+            row += [g(nm), b.tables[1][m], int(bool(b.upper_nm_applies[idx])), g(nm - he)]
+        else:
+            row += [""] * 4
+        row += [g(un), g(un - he)] if un is not None else [""] * 2
+        if lb is not None:
+            row += [g(lb), int(not b.isolated[idx]), g(he - lb), g(b.f1[idx]), g(b.f2[idx])]
+        else:
+            row += [""] * 5
+        row.append(lemma1_check(n, m, float(b.alpha[idx]), tol=tol))
+        rows.append(row)
+    return rows
 
 
 # ─── the kernel ─────────────────────────────────────────────────────────────
@@ -260,6 +323,54 @@ def _batch_connected(a: np.ndarray) -> np.ndarray:
     return reach[:, 0, :].all(axis=1)
 
 
+def _eigensolve(a: np.ndarray, m: np.ndarray, rep: SweepReport, g6_of):
+    """Spectra of a (B, n, n) batch, rows non-increasing, and the mask of rows
+    that converged and keep the trace/Frobenius invariants.  Every other row
+    is recorded as a solver failure."""
+    b, n = a.shape[0], a.shape[1]
+    ok = np.ones(b, dtype=bool)
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError:
+        w = np.zeros((b, n))
+        for idx in range(b):
+            try:
+                w[idx] = np.linalg.eigvalsh(a[idx])
+            except np.linalg.LinAlgError:
+                ok[idx] = False
+    w = w[:, ::-1]
+    trace_ok, frobenius_ok = invariants_hold(w, m)
+    ok &= trace_ok & frobenius_ok
+    rep.solver_failures.extend(g6_of(int(idx)) for idx in np.nonzero(~ok)[0])
+    return w, ok
+
+
+def _record(rep: SweepReport, check: str, applicable, viol, slack, witness_tol: float, g6_of) -> None:
+    """Merge one batch's verdicts on one check into rep."""
+    part = SweepReport.for_checks(rep.n, (check,))
+    part.checks[check] = CheckTally(
+        checked=len(applicable),
+        holds=int((applicable & ~viol).sum()),
+        violated=int(viol.sum()),
+        not_applicable=len(applicable) - int(applicable.sum()),
+    )
+    if applicable.any():
+        sl = slack[applicable]
+        part.min_slack[check] = float(sl.min())
+        hist = np.bincount(
+            np.minimum(np.floor(np.maximum(sl, 0.0) / HIST_RESOLUTION).astype(np.int64), _HIST_BINS)
+        )
+        part.slack_histogram[check] = {int(i): int(hist[i]) for i in np.nonzero(hist)[0]}
+        # Witnesses use witness_tol as an absolute |slack|, unlike the
+        # relative equality tags of classify_equality.
+        wit = np.nonzero(applicable & (np.abs(slack) <= witness_tol))[0]
+        part.witness_counts[check] = len(wit)
+        room = max(0, _WITNESS_CAP - len(rep.equality_witnesses[check]))
+        part.equality_witnesses[check] = [g6_of(int(i)) for i in wit[:room]]
+    part.violation_examples[check] = [g6_of(int(i)) for i in np.nonzero(viol)[0][:_VIOLATION_CAP]]
+    rep.merge(part)
+
+
 def _process_batch(
     n: int,
     a: np.ndarray,
@@ -270,196 +381,23 @@ def _process_batch(
     tables,
     rep: SweepReport,
     g6_of,
-    dump: Optional[_DumpWriter] = None,
+    dump=None,
 ) -> None:
-    b = len(m_arr)
-    rep.graph_count += b
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError:
-        w = np.zeros((b, n))
-        ok0 = np.ones(b, dtype=bool)
-        for idx in range(b):
-            try:
-                w[idx] = np.linalg.eigvalsh(a[idx])
-            except np.linalg.LinAlgError:
-                ok0[idx] = False
-                rep.solver_failures.append(g6_of(idx))
-    else:
-        ok0 = np.ones(b, dtype=bool)
-    w = w[:, ::-1]
-    two_m = 2.0 * m_arr
-    scale = np.maximum(1.0, two_m)
-    sane = (np.abs(w.sum(axis=1)) <= _SANITY_TOL * scale) & (
-        np.abs((w * w).sum(axis=1) - two_m) <= _SANITY_TOL * scale
-    )
-    ok = ok0 & sane
-    for idx in np.nonzero(~sane & ok0)[0]:
-        rep.solver_failures.append(g6_of(int(idx)))
-
-    r = n // 2
-    odd = n % 2 == 1
-    he = 2.0 * w[:, :r].sum(axis=1)
-    alpha = (w[:, :r] ** 2).sum(axis=1)
-    beta = w[:, r].copy() if odd else None
-    if odd:
-        he = he + beta
-    degrees = a.sum(axis=2)
-    has_iso = (degrees == 0.0).any(axis=1) if n > 0 else np.zeros(b, dtype=bool)
-
-    if tables is not None:
-        nm_vals, nm_regimes, nm_applies_tab = tables
-        nm_val = nm_vals[m_arr]
-        nm_applies = nm_applies_tab[m_arr]
-    else:
-        nm_val = np.zeros(b)
-        nm_applies = np.zeros(b, dtype=bool)
-
-    # Intermediate two-step bounds, computed vectorized with dust clamping.
-    f1 = f2 = None
-    if n >= 2:
-        mf = m_arr.astype(np.float64)
-        if odd:
-            rad1 = (r - 1) * np.clip(alpha - 4.0 * mf * mf / (n * n), 0.0, None)
-            f1 = 4.0 * mf / n + 2.0 * np.sqrt(rad1) + beta
-            rad2 = r * np.clip(2.0 * mf - alpha - beta * beta, 0.0, None)
-            f2 = 2.0 * np.sqrt(rad2) - beta
-        else:
-            rad1 = (r - 1) * np.clip(alpha - mf * mf / (r * r), 0.0, None)
-            f1 = 2.0 * mf / r + 2.0 * np.sqrt(rad1)
-            rad2 = r * np.clip(2.0 * mf - alpha, 0.0, None)
-            f2 = 2.0 * np.sqrt(rad2)
-
-    def record(check: str, applicable: np.ndarray, violated: np.ndarray, slack: np.ndarray) -> None:
-        tally = rep._entry(check)
-        applicable = applicable & ok
-        violated = violated & applicable
-        tally.checked += b
-        tally.violated += int(violated.sum())
-        tally.holds += int((applicable & ~violated).sum())
-        tally.not_applicable += int((~(applicable) & ok).sum()) + int((~ok).sum())
-        if applicable.any():
-            sl = slack[applicable]
-            mn = float(sl.min())
-            cur = rep.min_slack[check]
-            rep.min_slack[check] = mn if cur is None else min(cur, mn)
-            hist = np.bincount(
-                np.minimum(
-                    np.floor(np.maximum(sl, 0.0) / HIST_RESOLUTION).astype(np.int64), _HIST_BINS
-                ),
-                minlength=0,
-            )
-            hd = rep.slack_histogram[check]
-            for bin_idx in np.nonzero(hist)[0]:
-                hd[int(bin_idx)] = hd.get(int(bin_idx), 0) + int(hist[bin_idx])
-            wit = applicable & (np.abs(slack) <= witness_tol)
-            nwit = int(wit.sum())
-            if nwit:
-                rep.witness_counts[check] += nwit
-                wl = rep.equality_witnesses[check]
-                for idx in np.nonzero(wit)[0]:
-                    if len(wl) >= _WITNESS_CAP:
-                        break
-                    wl.append(g6_of(int(idx)))
-        if violated.any():
-            ve = rep.violation_examples[check]
-            for idx in np.nonzero(violated)[0]:
-                if len(ve) >= _VIOLATION_CAP:
-                    break
-                ve.append(g6_of(int(idx)))
-
-    none = np.zeros(b, dtype=bool)
-    for check in checks:
-        if check == CHECK_UPPER_NM:
-            if tables is None:
-                record(check, none, none, he)
-                continue
-            slack = nm_val - he
-            viol = slack < -tol * np.maximum(1.0, np.abs(nm_val))
-            record(check, nm_applies, viol, slack)
-        elif check == CHECK_UPPER_N:
-            if n < 1:
-                record(check, none, none, he)
-                continue
-            un = upper_bound_order(n)
-            slack = un - he
-            viol = slack < -tol * max(1.0, un)
-            record(check, np.ones(b, dtype=bool), viol, slack)
-        elif check == CHECK_LOWER:
-            if n < 2:
-                record(check, none, none, he)
-                continue
-            lb = lower_bound(n)
-            slack = he - lb
-            viol = slack < -tol * max(1.0, lb)
-            record(check, ~has_iso, viol, slack)
-        elif check == CHECK_LEMMA1:
-            # Asserted exactly where the half-moment inequality is a
-            # theorem: any graph with m >= n (a cycle exists, forcing
-            # alpha <= 2m-2), or a connected graph with m = n-1 (a tree,
-            # alpha = m) when n >= 4.  The wider hypothesis m >= n-1 >= 2
-            # admits genuine counterexamples: the 3-vertex path has
-            # alpha/r = 2 > 16/9, and K4 plus three isolated vertices has
-            # alpha/r = 3 > 144/49.  lemma1_check still evaluates those
-            # truthfully as "violated"; the sweep just does not count a
-            # disproved statement as a verification failure.
-            if n < 3:
-                record(check, none, none, he)
-                continue
-            applicable = m_arr >= n
-            if n >= 4:
-                trees = m_arr == n - 1
-                if bool(trees.any()):
-                    applicable = applicable | (trees & _batch_connected(a))
-            rhs = 4.0 * m_arr.astype(np.float64) ** 2 / (n * n)
-            slack = rhs - alpha / r
-            viol = slack < -tol * np.maximum(1.0, rhs)
-            record(check, applicable, viol, slack)
-        elif check == CHECK_ODD_STRICT:
-            if not odd or tables is None:
-                record(check, none, none, he)
-                continue
-            slack = nm_val - he
-            record(check, nm_applies, slack <= 0.0, slack)
-        elif check == CHECK_INTERMEDIATE:
-            # The odd-order refinement assumes m >= n-1 >= 3, so odd n=3
-            # is out of scope (for the 3-vertex path the first refinement
-            # dips below the half-spectrum sum).  Even orders carry no
-            # extra constraint beyond m >= n-1.
-            if f1 is None or (odd and n < 5):
-                record(check, none, none, he)
-                continue
-            fmin = np.minimum(f1, f2)
-            slack = fmin - he
-            viol = slack < -tol * np.maximum(1.0, np.abs(fmin))
-            record(check, m_arr >= n - 1, viol, slack)
-
+    rep.graph_count += len(m_arr)
+    w, ok = _eigensolve(a, m_arr, rep, g6_of)
+    b = _Batch(n, a, m_arr, w, tables)
+    for name in checks:
+        check = CHECKS[name]
+        applicable = viol = np.zeros(len(m_arr), dtype=bool)
+        slack = None
+        if check.order(n):
+            value, bound = check.value(b), check.bound(b)
+            slack = bound - value if check.upper else value - bound
+            applicable = check.domain(b) & ok
+            viol = violated(slack, bound, tol, check.strict) & applicable
+        _record(rep, name, applicable, viol, slack, witness_tol, g6_of)
     if dump is not None:
-        energy = np.abs(w).sum(axis=1)
-        rows = []
-        lb = lower_bound(n) if n >= 2 else None
-        un = upper_bound_order(n) if n >= 1 else None
-        for idx in range(b):
-            m = int(m_arr[idx])
-            lemma = lemma1_check(n, m, float(alpha[idx]), tol=tol)
-            rows.append([
-                g6_of(idx), n, m,
-                f"{he[idx]:.12g}", f"{energy[idx]:.12g}", f"{alpha[idx]:.12g}",
-                f"{beta[idx]:.12g}" if odd else "",
-                f"{nm_val[idx]:.12g}" if tables is not None else "",
-                nm_regimes[m] if tables is not None else "",
-                int(bool(nm_applies[idx])) if tables is not None else "",
-                f"{nm_val[idx] - he[idx]:.12g}" if tables is not None else "",
-                f"{un:.12g}" if un is not None else "",
-                f"{un - he[idx]:.12g}" if un is not None else "",
-                f"{lb:.12g}" if lb is not None else "",
-                int(not has_iso[idx]) if lb is not None else "",
-                f"{he[idx] - lb:.12g}" if lb is not None else "",
-                f"{f1[idx]:.12g}" if f1 is not None else "",
-                f"{f2[idx]:.12g}" if f2 is not None else "",
-                lemma,
-            ])
-        dump.rows(rows)
+        dump.writerows(_dump_rows(b, tol, g6_of))
 
 
 # ─── drivers ────────────────────────────────────────────────────────────────
@@ -472,11 +410,9 @@ def _process_mask_range(
     checks: Tuple[str, ...],
     tol: float,
     witness_tol: float,
-    dump: Optional[_DumpWriter] = None,
+    dump=None,
 ) -> SweepReport:
-    rep = SweepReport(n=n)
-    for check in checks:
-        rep._entry(check)
+    rep = SweepReport.for_checks(n, checks)
     pairs = pair_order(n)
     shifts = np.arange(len(pairs), dtype=np.int64)
     iu = np.array([p[0] for p in pairs], dtype=np.int64)
@@ -485,17 +421,12 @@ def _process_mask_range(
     for lo in range(start, stop, _BATCH):
         hi = min(stop, lo + _BATCH)
         masks = np.arange(lo, hi, dtype=np.int64)
-        if len(pairs):
-            bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-            m_arr = bits.sum(axis=1).astype(np.int64)
-        else:
-            bits = np.zeros((len(masks), 0))
-            m_arr = np.zeros(len(masks), dtype=np.int64)
+        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+        m_arr = bits.sum(axis=1).astype(np.int64)
         a = np.zeros((len(masks), n, n))
-        if len(pairs):
-            idx = np.arange(len(masks))[:, None]
-            a[idx, iu[None, :], ju[None, :]] = bits
-            a[idx, ju[None, :], iu[None, :]] = bits
+        idx = np.arange(len(masks))[:, None]
+        a[idx, iu[None, :], ju[None, :]] = bits
+        a[idx, ju[None, :], iu[None, :]] = bits
         _process_batch(
             n, a, m_arr, checks, tol, witness_tol, tables, rep,
             lambda i: write_graph6(_graph_from_mask(n, pairs, int(masks[i]))),
@@ -522,8 +453,8 @@ def default_jobs() -> int:
 def sweep_labeled(
     n: int,
     checks: Sequence[str] = ALL_CHECKS,
-    tol: float = DEFAULT_TOL,
-    witness_tol: float = WITNESS_TOL,
+    tol: float = VIOLATION_TOL,
+    witness_tol: float = TIGHT_TOL,
     jobs: Optional[int] = None,
     dump_path: Optional[str] = None,
 ) -> SweepReport:
@@ -531,7 +462,8 @@ def sweep_labeled(
 
     jobs > 1 partitions the edge-bitmask range across processes; the merged
     report is identical to the serial one.  Dumping per-graph CSV rows
-    requires the serial path.
+    requires the serial path.  At most min(jobs, CPU count, chunk count)
+    worker processes start.
     """
     if not (1 <= n <= ENUM_MAX_N):
         raise ValueError(f"exhaustive sweep needs 1 <= n <= {ENUM_MAX_N}, got n={n}")
@@ -541,19 +473,13 @@ def sweep_labeled(
     if dump_path is not None and jobs > 1:
         raise ValueError("per-graph CSV dump requires jobs=1")
     if jobs == 1:
-        dump = _DumpWriter(dump_path) if dump_path else None
-        try:
-            rep = _process_mask_range(n, 0, total, checks, tol, witness_tol, dump)
-        finally:
-            if dump:
-                dump.close()
-        return rep.finalize()
+        with _dump_writer(dump_path) as dump:
+            return _process_mask_range(n, 0, total, checks, tol, witness_tol, dump).finalize()
     chunk = max(1 << 10, (total + jobs * 8 - 1) // (jobs * 8))
     ranges = [(n, lo, min(total, lo + chunk), checks, tol, witness_tol) for lo in range(0, total, chunk)]
-    rep = SweepReport(n=n)
-    for check in checks:
-        rep._entry(check)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    rep = SweepReport.for_checks(n, checks)
+    workers = min(jobs, os.cpu_count() or 1, len(ranges))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_worker, ranges):
             rep.merge(part)
     return rep.finalize()
@@ -562,8 +488,8 @@ def sweep_labeled(
 def sweep(
     graphs: Iterable[Graph],
     checks: Sequence[str] = ALL_CHECKS,
-    tol: float = DEFAULT_TOL,
-    witness_tol: float = WITNESS_TOL,
+    tol: float = VIOLATION_TOL,
+    witness_tol: float = TIGHT_TOL,
     dump_path: Optional[str] = None,
 ) -> List[SweepReport]:
     """Sweep an arbitrary graph stream.  Mixed orders are grouped into
@@ -572,36 +498,25 @@ def sweep(
     reports: Dict[int, SweepReport] = {}
     buffers: Dict[int, List[Graph]] = {}
     tables_cache: Dict[int, object] = {}
-    dump = _DumpWriter(dump_path) if dump_path else None
 
     def flush(n: int) -> None:
-        buf = buffers.pop(n, [])
-        if not buf:
-            return
+        buf = buffers.pop(n)
         if n not in reports:
-            reports[n] = SweepReport(n=n)
-            for check in checks:
-                reports[n]._entry(check)
-        if n not in tables_cache:
+            reports[n] = SweepReport.for_checks(n, checks)
             tables_cache[n] = _bound_tables(n)
-        a = np.zeros((len(buf), n, n))
-        for i, g in enumerate(buf):
-            a[i] = g.dense()
-        m_arr = np.array([g.m for g in buf], dtype=np.int64)
+        a = dense_batch(buf, n)
+        m_arr = (a.sum(axis=(1, 2)) / 2).astype(np.int64)
         _process_batch(
             n, a, m_arr, checks, tol, witness_tol, tables_cache[n], reports[n],
             lambda i: write_graph6(buf[i]),
             dump,
         )
 
-    try:
+    with _dump_writer(dump_path) as dump:
         for g in graphs:
             buffers.setdefault(g.n, []).append(g)
             if len(buffers[g.n]) >= 4096:
                 flush(g.n)
         for n in list(buffers):
             flush(n)
-    finally:
-        if dump:
-            dump.close()
     return [reports[n].finalize() for n in sorted(reports)]

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_graph
@@ -10,9 +11,12 @@ from huckel.graphs import Graph, add_isolated_vertex, disjoint_union
 from huckel.bounds import (
     bound_report,
     classify_equality,
+    intermediate_bounds,
     intermediate_bounds_even,
     intermediate_bounds_odd,
     lemma1_check,
+    lemma1_stated_domain,
+    lemma1_theorem_domain,
     lower_bound,
     scan_order_bound,
     upper_bound,
@@ -22,6 +26,7 @@ from huckel.bounds import (
     upper_bound_order,
     upper_bound_order_even,
     upper_bound_order_odd,
+    violated,
 )
 from huckel.spectra import eigenvalues, energy_values
 
@@ -142,6 +147,49 @@ def test_intermediate_bounds_odd():
     assert intermediate_bounds_odd(5, 4, 4.0, 0.0) == pytest.approx((5.6, 5.656854249492381))
     with pytest.raises(ValueError):
         intermediate_bounds_odd(5, 2, 4.0, 1.0)  # alpha + beta^2 over 2m
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9])
+def test_intermediate_bounds_array_form(n):
+    rng = random.Random(n)
+    graphs = [random_graph(rng, n, rng.random()) for _ in range(12)]
+    evs = [energy_values(eigenvalues(g)) for g in graphs]
+    m = np.array([g.m for g in graphs])
+    alpha = np.array([ev.alpha for ev in evs])
+    beta = np.array([ev.beta for ev in evs]) if n % 2 else None
+    f1, f2 = intermediate_bounds(n, m, alpha, beta)
+    for i, ev in enumerate(evs):
+        assert (f1[i], f2[i]) == intermediate_bounds(n, graphs[i].m, ev.alpha, ev.beta)
+    # A row the solver flagged (here: an impossible moment) does not raise in
+    # the array form, while the same values as scalars do.
+    alpha[0] = 2.0 * m[0] + 5.0
+    f1, f2 = intermediate_bounds(n, m, alpha, beta)
+    assert np.isfinite(f1).all() and np.isfinite(f2).all()
+    with pytest.raises(ValueError, match="exceeds 2m"):
+        intermediate_bounds(n, int(m[0]), float(alpha[0]), None if beta is None else float(beta[0]))
+
+
+def test_violated_is_the_shared_verdict():
+    assert not violated(-0.5e-8, 1.0) and violated(-2e-8, 1.0)
+    assert not violated(-0.5e-6, 100.0) and violated(-2e-6, 100.0)
+    assert violated(0.0, 5.0, strict=True) and not violated(1e-12, 5.0, strict=True)
+    assert list(violated(np.array([-1.0, 0.0]), np.array([2.0, 2.0]))) == [True, False]
+
+
+def test_lemma1_domains():
+    m = np.arange(0, 11)
+    connected = np.ones(11, dtype=bool)
+    connected[4] = False
+    stated = lemma1_stated_domain(5, m)
+    theorem = lemma1_theorem_domain(5, m, lambda: connected)
+    assert list(np.nonzero(stated)[0]) == list(range(4, 11))
+    assert list(np.nonzero(theorem)[0]) == list(range(5, 11))  # m = 4 here is disconnected
+    connected[4] = True
+    assert list(np.nonzero(lemma1_theorem_domain(5, m, lambda: connected))[0]) == list(range(4, 11))
+    # Trees at n = 3 are outside the theorem domain; connectivity is not asked for.
+    assert not lemma1_theorem_domain(3, np.array([2]), lambda: pytest.fail("called"))[0]
+    # Every theorem-domain graph is in the stated domain.
+    assert not (theorem & ~stated).any()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -68,6 +68,34 @@ def test_analyze_bad_record(capsys, tmp_path):
     assert [rec["graph6"] for rec in json_lines(out)] == ["Bw", "Dhc"]
 
 
+def test_non_ascii_byte_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "latin.g6"
+    path.write_bytes(b"Bw\nC\xc3~\nDhc\n")
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert "line 2" in err and "byte 195 at position 1" in err
+    code, out, err = run(capsys, ["analyze", str(path), "--skip-bad"])
+    assert code == 0 and "line 2 skipped" in err
+    assert [rec["graph6"] for rec in json_lines(out)] == ["Bw", "Dhc"]
+
+    code, out, err = run(capsys, ["verify", "--corpus", str(path)])
+    assert code == 2
+    assert f"{path}:2:" in err and "byte 195 at position 1" in err
+    code, out, err = run(capsys, ["verify", "--corpus", str(path), "--skip-bad"])
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [(rep["n"], rep["graph_count"]) for rep in reports] == [(3, 1), (5, 1)]
+
+
+@pytest.mark.parametrize("command", [["verify", "--n", "3"], ["analyze"]])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_bad_tolerance_rejected(capsys, command, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_analyze_missing_file(capsys):
     code, out, err = run(capsys, ["analyze", "/nonexistent/path.g6"])
     assert code == 2 and err.startswith("error:")

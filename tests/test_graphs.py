@@ -1,8 +1,10 @@
 """Graph container, operations, and the graph6 codec."""
 
+import io
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from conftest import random_graph
@@ -12,7 +14,9 @@ from huckel.graphs import (
     add_duplicate_vertex,
     add_isolated_vertex,
     complement,
+    dense_batch,
     disjoint_union,
+    graph6_records,
     pair_order,
     parse_graph6,
     seidel_switch,
@@ -130,6 +134,25 @@ def test_is_connected():
     assert Graph.star(7).is_connected()
     assert not disjoint_union(Graph.complete(3), Graph.complete(2)).is_connected()
     assert not add_isolated_vertex(Graph.cycle(4)).is_connected()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17, 70])
+def test_dense_batch_matches_networkx(n):
+    rng = random.Random(n)
+    graphs = [random_graph(rng, n, rng.random()) for _ in range(5)]
+    expected = [nx.to_numpy_array(to_networkx(g), nodelist=range(n)) for g in graphs]
+    a = dense_batch(graphs, n)
+    assert a.shape == (5, n, n) and a.dtype == np.float64
+    assert np.array_equal(a, np.array(expected).reshape(5, n, n))
+    for g, want in zip(graphs, expected):
+        assert np.array_equal(g.dense(), want.reshape(n, n))
+    with pytest.raises(ValueError, match="order"):
+        dense_batch(graphs + [Graph.empty(n + 1)], n)
+
+
+def test_graph6_records_strip_only_ascii_space():
+    fh = io.StringIO("Bw\n\n \tC~ \r\n\xa0Dhc\n")
+    assert list(graph6_records(fh)) == [(1, "Bw"), (3, "C~"), (4, "\xa0Dhc")]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

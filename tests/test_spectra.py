@@ -14,7 +14,9 @@ from huckel.spectra import (
     energy,
     energy_values,
     group_spectrum,
+    half_spectrum,
     huckel_energy,
+    invariants_hold,
 )
 from huckel.sweep import enumerate_labeled_graphs
 
@@ -173,3 +175,25 @@ def test_energy_accepts_plain_sequences():
     assert energy([3.0, -1.0, -2.0]) == pytest.approx(6.0)
     assert huckel_energy([3.0, -1.0, -2.0]) == pytest.approx(5.0)
     assert alpha_beta([3.0, -1.0, -2.0]) == (9.0, -1.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7, 10])
+def test_batch_helpers_match_per_spectrum(n):
+    rng = random.Random(n)
+    graphs = [random_graph(rng, n, rng.random()) for _ in range(8)]
+    spectra = [eigenvalues(g) for g in graphs]
+    w = np.array([s.values for s in spectra]).reshape(8, n)
+    m = np.array([g.m for g in graphs])
+    he, alpha, beta = half_spectrum(w)
+    trace_ok, frobenius_ok = invariants_hold(w, m)
+    assert trace_ok.all() and frobenius_ok.all()
+    for i, s in enumerate(spectra):
+        ev = energy_values(s)
+        assert (he[i], alpha[i]) == (ev.huckel, ev.alpha)
+        assert (None if beta is None else beta[i]) == ev.beta
+        assert energy(w)[i] == ev.energy
+    if n:
+        # A corrupted spectrum fails the invariant it breaks, row by row.
+        w[0, 0] += 1e-3
+        trace_ok, frobenius_ok = invariants_hold(w, m)
+        assert list(trace_ok) == [False] + [True] * 7

@@ -1,7 +1,10 @@
 """Exhaustive verification sweeps over all labeled graphs of small orders."""
 
 import csv
+import importlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +231,38 @@ def test_default_jobs(monkeypatch):
     monkeypatch.setenv("HUCKEL_JOBS", "two")
     with pytest.raises(ValueError, match="HUCKEL_JOBS"):
         default_jobs()
+
+
+def test_worker_processes_capped(monkeypatch):
+    # A recorder in place of the pool: it starts no process and runs each
+    # range in this one.
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    sweep_module = importlib.import_module("huckel.sweep")
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
+    serial = sweep_labeled(6).to_dict()
+    assert sweep_labeled(6, jobs=10 ** 6).to_dict() == serial  # 32 ranges, 4 CPUs
+    assert sweep_labeled(5, jobs=3).to_dict() == sweep_labeled(5).to_dict()  # one range
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: None)
+    sweep_labeled(6, jobs=3)
+    assert started == [4, 1, 1]
+
+
+def test_readme_describes_the_check_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## What the checks assert", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `([a-z0-9_]+)`", section, flags=re.M) == list(ALL_CHECKS)
