@@ -56,7 +56,12 @@ class CheckTally:
 
 @dataclass
 class SweepReport:
-    """Verification results for all graphs of one order."""
+    """Verification results for all graphs of one order.
+
+    equality_witnesses[check] holds the smallest _WITNESS_CAP distinct graph6
+    strings among the check's witnesses, so it does not depend on the order in
+    which graphs or parts are met; witness_counts[check] counts them all.
+    """
 
     n: int
     graph_count: int = 0
@@ -99,7 +104,10 @@ class SweepReport:
             if om is not None:
                 mine = self.min_slack[check]
                 self.min_slack[check] = om if mine is None else min(mine, om)
-            self.equality_witnesses[check].extend(other.equality_witnesses.get(check, []))
+            theirs = other.equality_witnesses.get(check, [])
+            if theirs:
+                mine = self.equality_witnesses[check]
+                self.equality_witnesses[check] = sorted(set(mine).union(theirs))[:_WITNESS_CAP]
             self.witness_counts[check] += other.witness_counts.get(check, 0)
             ve = self.violation_examples[check]
             ve.extend(other.violation_examples.get(check, [])[: _VIOLATION_CAP - len(ve)])
@@ -109,9 +117,6 @@ class SweepReport:
         self.solver_failures.extend(other.solver_failures)
 
     def finalize(self) -> "SweepReport":
-        for check in self.equality_witnesses:
-            wl = sorted(set(self.equality_witnesses[check]))
-            self.equality_witnesses[check] = wl[:_WITNESS_CAP]
         self.solver_failures = sorted(set(self.solver_failures))
         return self
 
@@ -365,8 +370,7 @@ def _record(rep: SweepReport, check: str, applicable, viol, slack, witness_tol: 
         # relative equality tags of classify_equality.
         wit = np.nonzero(applicable & (np.abs(slack) <= witness_tol))[0]
         part.witness_counts[check] = len(wit)
-        room = max(0, _WITNESS_CAP - len(rep.equality_witnesses[check]))
-        part.equality_witnesses[check] = [g6_of(int(i)) for i in wit[:room]]
+        part.equality_witnesses[check] = [g6_of(int(i)) for i in wit]
     part.violation_examples[check] = [g6_of(int(i)) for i in np.nonzero(viol)[0][:_VIOLATION_CAP]]
     rep.merge(part)
 

@@ -266,3 +266,29 @@ def test_readme_describes_the_check_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## What the checks assert", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^- `([a-z0-9_]+)`", section, flags=re.M) == list(ALL_CHECKS)
+
+
+class _NoPool:
+    """A stand-in for ProcessPoolExecutor that runs every part in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_parallel_witness_lists_match_serial_at_order_7(monkeypatch):
+    # Order 7 has 1,015 labeled intermediate witnesses, more than the cap, so
+    # the capped list must be the smallest strings whatever the part order.
+    monkeypatch.setattr(importlib.import_module("huckel.sweep"), "ProcessPoolExecutor", _NoPool)
+    serial = sweep_labeled(7)
+    assert serial.witness_counts["intermediate"] > 1000
+    assert serial.equality_witnesses["intermediate"] == sorted(serial.equality_witnesses["intermediate"])
+    assert sweep_labeled(7, jobs=2).to_dict() == serial.to_dict()
