@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification violations, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -104,8 +105,14 @@ def _cmd_analyze(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    else:
-        fh = sys.stdin
+        release = fh.close
+    elif hasattr(sys.stdin, "buffer"):
+        # stdin's bytes are read as latin-1 like a file's, so a non-ASCII
+        # byte reaches the parser as itself; detaching leaves stdin open.
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="latin-1")
+        release = fh.detach
+    else:  # a stdin with no byte buffer underneath is read as it is
+        fh, release = sys.stdin, None
     status = EXIT_OK
     try:
         for ln, record in graph6_records(fh):
@@ -119,8 +126,8 @@ def _cmd_analyze(args) -> int:
                 return EXIT_USAGE
             _emit(_analyze_record(g, args.tol))
     finally:
-        if fh is not sys.stdin:
-            fh.close()
+        if release is not None:
+            release()
     return status
 
 

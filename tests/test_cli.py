@@ -56,6 +56,17 @@ def test_analyze_file_and_tags(capsys, tmp_path):
     assert pentagon["bounds"]["f2"] == pytest.approx(pentagon["huckel"], abs=1e-6)
 
 
+def test_analyze_stdin_reads_latin1(capsys, monkeypatch):
+    # A real stdin decodes by the locale; analyze reads its bytes instead.
+    stdin = io.TextIOWrapper(io.BytesIO(b"Bw\nC\xc3~\n"), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, ["analyze", "--skip-bad"])
+    assert code == 0
+    assert "line 2 skipped" in err and "byte 195 at position 1" in err
+    assert [rec["graph6"] for rec in json_lines(out)] == ["Bw"]
+    assert not stdin.buffer.closed
+
+
 def test_analyze_bad_record(capsys, tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("Bw\n:sparse\nDhc\n")
