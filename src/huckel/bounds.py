@@ -150,10 +150,31 @@ def intermediate_bounds(n: int, m, alpha, beta=None):
         beta = 0.0
     if not isinstance(alpha, np.ndarray) and alpha + beta * beta > 2.0 * m + DUST_TOL * max(1.0, 2.0 * m):
         raise ValueError(f"top half-spectrum moment {alpha + beta * beta} exceeds 2m={2 * m}")
-    r = n // 2
-    f1 = 4.0 * m / n + 2.0 * _checked_sqrt((r - 1) * (alpha - 4.0 * m * m / (n * n)), alpha, "f1") + beta
-    f2 = 2.0 * _checked_sqrt(r * (2.0 * m - alpha - beta * beta), 2.0 * m, "f2") - beta
+    (x1, s1), (x2, s2) = _intermediate_radicands(n, m, alpha, beta)
+    f1 = 4.0 * m / n + 2.0 * _checked_sqrt(x1, s1, "f1") + beta
+    f2 = 2.0 * _checked_sqrt(x2, s2, "f2") - beta
     return f1, f2
+
+
+def _intermediate_radicands(n: int, m, alpha, beta):
+    """(radicand, scale) of the square roots in f1 and in f2."""
+    r = n // 2
+    return ((r - 1) * (alpha - 4.0 * m * m / (n * n)), alpha), (r * (2.0 * m - alpha - beta * beta), 2.0 * m)
+
+
+def intermediate_steep(n: int, m, alpha, beta=None):
+    """Where f1 or f2 takes the square root of a radicand within
+    TIGHT_TOL*max(1, scale) of zero.  There a rounding error e in the
+    spectrum moves the bound by up to about sqrt(e), 1e-7 for e = 1e-14, so
+    two computations of one spectrum can give bounds further apart than
+    DUST_TOL; elsewhere the root's slope is at most 1/(2*sqrt(TIGHT_TOL)) =
+    500.  At n <= 3 the f1 radicand is exactly 0 and is not steep.  Scalars
+    or arrays, as intermediate_bounds takes them."""
+    if n % 2 == 0:
+        beta = 0.0
+    (x1, s1), (x2, s2) = _intermediate_radicands(n, m, alpha, beta)
+    near = lambda x, s: x <= TIGHT_TOL * np.maximum(1.0, s)
+    return ((n >= 4) & near(x1, s1)) | near(x2, s2)
 
 
 def intermediate_bounds_even(n: int, m, alpha):
@@ -203,7 +224,8 @@ def lemma1_theorem_domain(n: int, m, connected: Callable[[], np.ndarray]):
     """Where the inequality is a theorem, and so where a sweep asserts it:
     m >= n (a cycle exists, forcing alpha <= 2m-2), or a connected graph with
     m = n-1 (a tree, alpha = m) once n >= 4.  connected() gives the
-    connectivity of every graph; it is called only if some m = n-1."""
+    connectivity of at least the graphs with m = n-1 (it is read only there),
+    and is called only if there is one."""
     domain = m >= n
     if n >= 4:
         trees = m == n - 1

@@ -1,24 +1,30 @@
 """Exhaustive and corpus-driven verification sweeps.
 
-Every graph is eigensolved once via a batched symmetric solver; all enabled
-checks are evaluated vectorized per batch.  Reports are per-order and merge
-as a commutative monoid, so a sweep partitioned over edge-bitmask ranges
-(serial or multiprocess) reduces to the identical report.
+Graphs are eigensolved in batches by a symmetric solver and every enabled
+check is evaluated vectorized per batch.  An exhaustive sweep eigensolves one
+graph per isomorphism class and counts it with its orbit size, evaluating
+labeled copies only of the classes near a decision point.  Reports are
+per-order and merge as a commutative monoid, so a sweep partitioned over
+parts of the class list (serial or multiprocess) reduces to the identical
+report.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import (
     intermediate_bounds,
+    intermediate_steep,
     lemma1_check,
     lemma1_terms,
     lemma1_theorem_domain,
@@ -29,7 +35,7 @@ from .bounds import (
     violated,
 )
 from .graphs import Graph, Graph6Error, dense_batch, graph6_records, pair_order, parse_graph6, write_graph6
-from .spectra import TIGHT_TOL, VIOLATION_TOL, energy, half_spectrum, invariants_hold
+from .spectra import DUST_TOL, TIGHT_TOL, VIOLATION_TOL, energy, half_spectrum, invariants_hold
 
 ENUM_MAX_N = 7
 HIST_RESOLUTION = 1e-3
@@ -178,6 +184,11 @@ def _graph_from_mask(n: int, pairs: List[Tuple[int, int]], mask: int) -> Graph:
     return Graph._from_rows_unchecked(n, tuple(rows))
 
 
+def _mask_of(pairs: List[Tuple[int, int]], g6: str) -> int:
+    rows = parse_graph6(g6).rows
+    return sum(1 << k for k, (i, j) in enumerate(pairs) if rows[i] >> j & 1)
+
+
 def stream_corpus(path: str, on_error: str = "raise") -> Iterator[Graph]:
     """Yield graphs from a file of graph6 records, one per line.
 
@@ -218,7 +229,8 @@ def _bound_tables(n: int):
 class _Batch:
     """One eigensolved batch of graphs of order n (spectra w, rows
     non-increasing, and sizes m), with everything the check rows read.
-    Connectivity is computed only when a row asks for it."""
+    Connectivity is computed only when a check asks for it, and only on the
+    rows it names."""
 
     def __init__(self, n: int, a: np.ndarray, m: np.ndarray, w: np.ndarray, tables):
         self.n, self.a, self.m, self.w, self.tables = n, a, m, w, tables
@@ -228,8 +240,12 @@ class _Batch:
         if tables is not None:
             self.upper_nm, self.upper_nm_applies = tables[0][m], tables[2][m]
 
-    def connected(self) -> np.ndarray:
-        return _batch_connected(self.a)
+    def connected(self, rows: np.ndarray) -> np.ndarray:
+        """Connectivity of the graphs in the rows selected by the boolean
+        mask rows; False on every other row."""
+        out = np.zeros(len(self.m), dtype=bool)
+        out[rows] = _batch_connected(self.a[rows])
+        return out
 
 
 @dataclass(frozen=True)
@@ -237,7 +253,9 @@ class Check:
     """One row of the check table: at orders n with order(n), every graph in
     domain(batch) must satisfy value <= bound (upper) or value >= bound
     (lower), strictly if strict, as bounds.violated decides.  All other graphs
-    and the solver's failures count as not_applicable."""
+    and the solver's failures count as not_applicable.  steep(batch), if
+    given, marks rows whose bound can move by more than DUST_TOL under
+    eigensolver rounding (see bounds.intermediate_steep)."""
 
     name: str
     order: Callable[[int], bool]
@@ -246,10 +264,12 @@ class Check:
     bound: Callable[[_Batch], np.ndarray]
     upper: bool = True
     strict: bool = False
+    steep: Optional[Callable[[_Batch], np.ndarray]] = None
 
 
 CHECKS: Dict[str, Check] = {c.name: c for c in (
-    Check("lemma1", lambda n: n >= 3, lambda b: lemma1_theorem_domain(b.n, b.m, b.connected),
+    Check("lemma1", lambda n: n >= 3,
+          lambda b: lemma1_theorem_domain(b.n, b.m, lambda: b.connected(b.m == b.n - 1)),
           lambda b: lemma1_terms(b.n, b.m, b.alpha)[0], lambda b: lemma1_terms(b.n, b.m, b.alpha)[1]),
     Check("upper_nm", lambda n: n >= 2, lambda b: b.upper_nm_applies, lambda b: b.he, lambda b: b.upper_nm),
     Check("upper_n", lambda n: n >= 1, lambda b: np.ones(len(b.m), dtype=bool), lambda b: b.he,
@@ -261,7 +281,8 @@ CHECKS: Dict[str, Check] = {c.name: c for c in (
     # The odd two-step refinement assumes m >= n-1 >= 3, so odd n = 3 is out
     # of scope (for the 3-vertex path f1 dips below the half-spectrum sum).
     Check("intermediate", lambda n: n >= 5 or (n >= 2 and n % 2 == 0), lambda b: b.m >= b.n - 1,
-          lambda b: b.he, lambda b: np.minimum(b.f1, b.f2)),
+          lambda b: b.he, lambda b: np.minimum(b.f1, b.f2),
+          steep=lambda b: intermediate_steep(b.n, b.m, b.alpha, b.beta)),
 )}
 ALL_CHECKS: Tuple[str, ...] = tuple(CHECKS)
 
@@ -328,10 +349,9 @@ def _batch_connected(a: np.ndarray) -> np.ndarray:
     return reach[:, 0, :].all(axis=1)
 
 
-def _eigensolve(a: np.ndarray, m: np.ndarray, rep: SweepReport, g6_of):
+def _eigensolve(a: np.ndarray, m: np.ndarray):
     """Spectra of a (B, n, n) batch, rows non-increasing, and the mask of rows
-    that converged and keep the trace/Frobenius invariants.  Every other row
-    is recorded as a solver failure."""
+    that converged and keep the trace/Frobenius invariants."""
     b, n = a.shape[0], a.shape[1]
     ok = np.ones(b, dtype=bool)
     try:
@@ -345,31 +365,52 @@ def _eigensolve(a: np.ndarray, m: np.ndarray, rep: SweepReport, g6_of):
                 ok[idx] = False
     w = w[:, ::-1]
     trace_ok, frobenius_ok = invariants_hold(w, m)
-    ok &= trace_ok & frobenius_ok
-    rep.solver_failures.extend(g6_of(int(idx)) for idx in np.nonzero(~ok)[0])
-    return w, ok
+    return w, ok & trace_ok & frobenius_ok
 
 
-def _record(rep: SweepReport, check: str, applicable, viol, slack, witness_tol: float, g6_of) -> None:
-    """Merge one batch's verdicts on one check into rep."""
+def _verdicts(b: _Batch, ok: np.ndarray, checks: Tuple[str, ...], tol: float):
+    """(applicable, violated, slack, bound) of each check on every row of b.
+    Rows the solver flagged (not ok), and every row at an order the check
+    skips, are not applicable."""
+    out = []
+    for name in checks:
+        check = CHECKS[name]
+        if not check.order(b.n):
+            none = np.zeros(len(b.m), dtype=bool)
+            out.append((none, none, np.zeros(len(b.m)), 0.0))
+            continue
+        value, bound = check.value(b), check.bound(b)
+        slack = bound - value if check.upper else value - bound
+        applicable = check.domain(b) & ok
+        out.append((applicable, violated(slack, bound, tol, check.strict) & applicable, slack, bound))
+    return out
+
+
+def _record(rep: SweepReport, check: str, applicable, viol, slack, witness_tol: float, g6_of,
+            weight: Optional[np.ndarray] = None) -> None:
+    """Merge one batch's verdicts on one check into rep, each row counted
+    weight times (once without weights)."""
+    if weight is None:
+        weight = np.ones(len(applicable), dtype=np.int64)
     part = SweepReport.for_checks(rep.n, (check,))
     part.checks[check] = CheckTally(
-        checked=len(applicable),
-        holds=int((applicable & ~viol).sum()),
-        violated=int(viol.sum()),
-        not_applicable=len(applicable) - int(applicable.sum()),
+        checked=int(weight.sum()),
+        holds=int(weight[applicable & ~viol].sum()),
+        violated=int(weight[viol].sum()),
+        not_applicable=int(weight[~applicable].sum()),
     )
     if applicable.any():
         sl = slack[applicable]
         part.min_slack[check] = float(sl.min())
         hist = np.bincount(
-            np.minimum(np.floor(np.maximum(sl, 0.0) / HIST_RESOLUTION).astype(np.int64), _HIST_BINS)
+            np.minimum(np.floor(np.maximum(sl, 0.0) / HIST_RESOLUTION).astype(np.int64), _HIST_BINS),
+            weights=weight[applicable],
         )
         part.slack_histogram[check] = {int(i): int(hist[i]) for i in np.nonzero(hist)[0]}
         # Witnesses use witness_tol as an absolute |slack|, unlike the
         # relative equality tags of classify_equality.
         wit = np.nonzero(applicable & (np.abs(slack) <= witness_tol))[0]
-        part.witness_counts[check] = len(wit)
+        part.witness_counts[check] = int(weight[wit].sum())
         part.equality_witnesses[check] = [g6_of(int(i)) for i in wit]
     part.violation_examples[check] = [g6_of(int(i)) for i in np.nonzero(viol)[0][:_VIOLATION_CAP]]
     rep.merge(part)
@@ -388,60 +429,147 @@ def _process_batch(
     dump=None,
 ) -> None:
     rep.graph_count += len(m_arr)
-    w, ok = _eigensolve(a, m_arr, rep, g6_of)
+    w, ok = _eigensolve(a, m_arr)
+    rep.solver_failures.extend(g6_of(int(idx)) for idx in np.nonzero(~ok)[0])
     b = _Batch(n, a, m_arr, w, tables)
-    for name in checks:
-        check = CHECKS[name]
-        applicable = viol = np.zeros(len(m_arr), dtype=bool)
-        slack = None
-        if check.order(n):
-            value, bound = check.value(b), check.bound(b)
-            slack = bound - value if check.upper else value - bound
-            applicable = check.domain(b) & ok
-            viol = violated(slack, bound, tol, check.strict) & applicable
+    for name, (applicable, viol, slack, _) in zip(checks, _verdicts(b, ok, checks, tol)):
         _record(rep, name, applicable, viol, slack, witness_tol, g6_of)
     if dump is not None:
         dump.writerows(_dump_rows(b, tol, g6_of))
 
 
+# ─── isomorphism classes of edge masks ──────────────────────────────────────
+
+
+@lru_cache(maxsize=None)
+def _perm_bits(n: int) -> np.ndarray:
+    """(n!, C(n,2)) table: entry [p, k] is the mask bit of the image of pair k
+    under the p-th permutation of the n vertices."""
+    pairs = np.array(pair_order(n), dtype=np.int64).reshape(-1, 2)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    i, j = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    table = np.left_shift(np.int64(1), hi * (hi - 1) // 2 + lo)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
+def _orbit(n: int, mask: int) -> np.ndarray:
+    """The edge masks of all labeled copies of the graph with edge mask mask,
+    sorted; their number is the orbit size n!/|Aut|."""
+    table = _perm_bits(n)
+    images = np.sort(table[:, [k for k in range(table.shape[1]) if mask >> k & 1]].sum(axis=1))
+    return images[np.concatenate(([True], images[1:] != images[:-1]))]
+
+
+def _classes(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One representative per isomorphism class of graphs on n vertices, the
+    smallest edge mask of its class, ascending, and the class's orbit size.
+
+    Masks are scanned in ascending order; the first one not seen yet starts a
+    new class, and its whole orbit is marked seen.
+    """
+    unseen = np.ones(1 << (n * (n - 1) // 2), dtype=bool)
+    reps, sizes = [], []
+    mask, left = 0, len(unseen)
+    while left:
+        mask += int(unseen[mask:].argmax())
+        orbit = _orbit(n, mask)
+        unseen[orbit] = False
+        reps.append(mask)
+        sizes.append(len(orbit))
+        left -= len(orbit)
+    return np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
+
+def _near_decision(check: Check, b: _Batch, applicable, slack, bound, tol: float, witness_tol: float):
+    """Applicable rows of b whose slack on check lies within DUST_TOL of a
+    point where a verdict, the witness test, the histogram bin or the check's
+    smallest slack could change: the violation threshold
+    -tol*max(1, |bound|), the band |slack| <= max(witness_tol, 0) (which
+    holds 0, the strict rows' threshold), a bin edge k*HIST_RESOLUTION below
+    the overflow bin, and the smallest slack among the rows; and the rows the
+    check calls steep.  Elsewhere the slacks of a graph's labeled copies
+    differ from its own by eigensolver rounding, far below DUST_TOL, so the
+    graph stands for every copy."""
+    if not applicable.any():
+        return applicable
+    near = np.abs(slack + tol * np.maximum(1.0, np.abs(bound))) <= DUST_TOL
+    near |= np.abs(slack) <= max(witness_tol, 0.0) + DUST_TOL
+    edge = np.rint(slack / HIST_RESOLUTION)
+    near |= (edge >= 1) & (edge <= _HIST_BINS) & (np.abs(slack - edge * HIST_RESOLUTION) <= DUST_TOL)
+    near |= slack <= slack[applicable].min() + DUST_TOL
+    if check.steep is not None:
+        near |= check.steep(b)
+    return near & applicable
+
+
 # ─── drivers ────────────────────────────────────────────────────────────────
 
 
-def _process_mask_range(
-    n: int,
-    start: int,
-    stop: int,
-    checks: Tuple[str, ...],
-    tol: float,
-    witness_tol: float,
-    dump=None,
-) -> SweepReport:
-    rep = SweepReport.for_checks(n, checks)
+def _mask_batch(n: int, masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The (B, n, n) adjacency batch and edge counts of edge masks."""
     pairs = pair_order(n)
     shifts = np.arange(len(pairs), dtype=np.int64)
     iu = np.array([p[0] for p in pairs], dtype=np.int64)
     ju = np.array([p[1] for p in pairs], dtype=np.int64)
+    bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+    a = np.zeros((len(masks), n, n))
+    idx = np.arange(len(masks))[:, None]
+    a[idx, iu[None, :], ju[None, :]] = bits
+    a[idx, ju[None, :], iu[None, :]] = bits
+    return a, bits.sum(axis=1).astype(np.int64)
+
+
+def _mask_graph6(n: int, masks: np.ndarray):
+    pairs = pair_order(n)
+    return lambda i: write_graph6(_graph_from_mask(n, pairs, int(masks[i])))
+
+
+def _process_classes(
+    n: int,
+    reps: np.ndarray,
+    sizes: np.ndarray,
+    checks: Tuple[str, ...],
+    tol: float,
+    witness_tol: float,
+    expand_all: bool = False,
+    dump=None,
+) -> SweepReport:
+    """Sweep every labeled graph of the classes with representatives reps and
+    orbit sizes sizes.
+
+    The representatives are eigensolved as one batch.  A class is evaluated
+    copy by copy if expand_all, or if its representative was flagged by the
+    solver, violates a check or lies near a decision point (_near_decision);
+    all such copies go through _process_batch together in ascending mask
+    order.  Every other class is added once, weighted by its orbit size.
+    """
+    rep = SweepReport.for_checks(n, checks)
     tables = _bound_tables(n)
-    for lo in range(start, stop, _BATCH):
-        hi = min(stop, lo + _BATCH)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        m_arr = bits.sum(axis=1).astype(np.int64)
-        a = np.zeros((len(masks), n, n))
-        idx = np.arange(len(masks))[:, None]
-        a[idx, iu[None, :], ju[None, :]] = bits
-        a[idx, ju[None, :], iu[None, :]] = bits
-        _process_batch(
-            n, a, m_arr, checks, tol, witness_tol, tables, rep,
-            lambda i: write_graph6(_graph_from_mask(n, pairs, int(masks[i]))),
-            dump,
-        )
+    a, m_arr = _mask_batch(n, reps)
+    w, ok = _eigensolve(a, m_arr)
+    b = _Batch(n, a, m_arr, w, tables)
+    verdicts = _verdicts(b, ok, checks, tol)
+    expand = ~ok | expand_all
+    for name, (applicable, viol, slack, bound) in zip(checks, verdicts):
+        expand |= viol | _near_decision(CHECKS[name], b, applicable, slack, bound, tol, witness_tol)
+    keep = ~expand
+    rep.graph_count += int(sizes[keep].sum())
+    for name, (applicable, viol, slack, _) in zip(checks, verdicts):
+        _record(rep, name, applicable[keep], viol[keep], slack[keep], witness_tol,
+                _mask_graph6(n, reps[keep]), weight=sizes[keep])
+    masks = np.sort(np.concatenate([_orbit(n, int(r)) for r in reps[expand]] + [np.zeros(0, np.int64)]))
+    for lo in range(0, len(masks), _BATCH):
+        chunk = masks[lo:lo + _BATCH]
+        a, m_arr = _mask_batch(n, chunk)
+        _process_batch(n, a, m_arr, checks, tol, witness_tol, tables, rep, _mask_graph6(n, chunk), dump)
     return rep
 
 
 def _worker(args) -> SweepReport:
-    n, start, stop, checks, tol, witness_tol = args
-    return _process_mask_range(n, start, stop, checks, tol, witness_tol)
+    n, reps, sizes, checks, tol, witness_tol = args
+    return _process_classes(n, reps, sizes, checks, tol, witness_tol)
 
 
 def default_jobs() -> int:
@@ -464,28 +592,49 @@ def sweep_labeled(
 ) -> SweepReport:
     """Sweep every labeled graph on n vertices (n <= 7).
 
-    jobs > 1 partitions the edge-bitmask range across processes; the merged
-    report is identical to the serial one.  Dumping per-graph CSV rows
-    requires the serial path.  At most min(jobs, CPU count, chunk count)
+    Each isomorphism class is eigensolved once and counted with its orbit
+    size; only classes near a decision point are evaluated copy by copy (see
+    _process_classes), so the report equals a sweep of every labeled graph.
+    Dumping per-graph CSV rows evaluates every copy, in edge-mask order, and
+    requires the serial path.  jobs > 1 splits the class list into parts of
+    at least 1024 labeled graphs, at most 8*jobs parts; the merged report is
+    identical to the serial one.  At most min(jobs, CPU count, part count)
     worker processes start.
     """
     if not (1 <= n <= ENUM_MAX_N):
         raise ValueError(f"exhaustive sweep needs 1 <= n <= {ENUM_MAX_N}, got n={n}")
     checks = _validate_checks(checks)
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    total = 1 << (n * (n - 1) // 2)
     if dump_path is not None and jobs > 1:
         raise ValueError("per-graph CSV dump requires jobs=1")
+    reps, sizes = _classes(n)
     if jobs == 1:
         with _dump_writer(dump_path) as dump:
-            return _process_mask_range(n, 0, total, checks, tol, witness_tol, dump).finalize()
-    chunk = max(1 << 10, (total + jobs * 8 - 1) // (jobs * 8))
-    ranges = [(n, lo, min(total, lo + chunk), checks, tol, witness_tol) for lo in range(0, total, chunk)]
+            return _process_classes(
+                n, reps, sizes, checks, tol, witness_tol, expand_all=dump is not None, dump=dump
+            ).finalize()
+    chunk = max(1 << 10, -(-int(sizes.sum()) // (jobs * 8)))
+    ends, acc = [], 0
+    for i, size in enumerate(sizes.tolist()):
+        acc += size
+        if acc >= chunk:
+            ends.append(i + 1)
+            acc = 0
+    if acc:
+        ends[-1:] = [len(sizes)]  # the remainder joins the last part, or is the only one
+    parts = [(n, reps[lo:hi], sizes[lo:hi], checks, tol, witness_tol) for lo, hi in zip([0] + ends, ends)]
     rep = SweepReport.for_checks(n, checks)
-    workers = min(jobs, os.cpu_count() or 1, len(ranges))
+    examples: Dict[str, List[str]] = {c: [] for c in checks}
+    workers = min(jobs, os.cpu_count() or 1, len(parts))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_worker, ranges):
+        for part in pool.map(_worker, parts):
+            for c in checks:
+                examples[c] += part.violation_examples[c]
             rep.merge(part)
+    # Each part met its violations in mask order; keep the first ones overall.
+    pairs = pair_order(n)
+    for c in checks:
+        rep.violation_examples[c] = sorted(examples[c], key=lambda g6: _mask_of(pairs, g6))[:_VIOLATION_CAP]
     return rep.finalize()
 
 

@@ -3,15 +3,19 @@
 import csv
 import importlib
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from huckel.bounds import upper_bound_order
 from huckel.graphs import Graph, parse_graph6, write_graph6
+from huckel.spectra import DUST_TOL, TIGHT_TOL
 from huckel.sweep import (
     ALL_CHECKS,
+    CHECKS,
     SweepReport,
     _batch_connected,
     default_jobs,
@@ -292,3 +296,109 @@ def test_parallel_witness_lists_match_serial_at_order_7(monkeypatch):
     assert serial.witness_counts["intermediate"] > 1000
     assert serial.equality_witnesses["intermediate"] == sorted(serial.equality_witnesses["intermediate"])
     assert sweep_labeled(7, jobs=2).to_dict() == serial.to_dict()
+
+
+# ─── the orbit-weighted sweep ───────────────────────────────────────────────
+
+sweep_module = importlib.import_module("huckel.sweep")
+
+
+def test_class_counts_match_the_atlas():
+    import networkx as nx
+
+    atlas = [g.number_of_nodes() for g in nx.graph_atlas_g()]
+    for n in range(1, 8):
+        reps, sizes = sweep_module._classes(n)
+        assert len(reps) == atlas.count(n) == [1, 2, 4, 11, 34, 156, 1044][n - 1]
+        assert int(sizes.sum()) == 1 << (n * (n - 1) // 2)
+        assert list(reps) == sorted(reps)
+        for r in reps[:50]:
+            orbit = sweep_module._orbit(n, int(r))
+            assert orbit[0] == r  # the representative is the smallest mask of its class
+            assert list(orbit) == sorted(set(orbit))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("options", [
+    {},
+    {"checks": ("lower", "odd_strict", "lemma1")},
+    {"tol": 0.0},
+    {"witness_tol": 1e-3},  # a wide band: many witness and bin-edge expansions
+])
+def test_orbit_sweep_matches_every_labeled_graph(n, options):
+    # A dump evaluates every labeled graph: the all-labeled oracle.
+    oracle = sweep_labeled(n, dump_path=os.devnull, **options)
+    assert sweep_labeled(n, **options).to_dict() == oracle.to_dict()
+
+
+def _copies(n, masks):
+    """The _Batch and check verdicts of graphs given by edge masks."""
+    s = sweep_module
+    a, m = s._mask_batch(n, masks)
+    w, ok = s._eigensolve(a, m)
+    b = s._Batch(n, a, m, w, s._bound_tables(n))
+    return b, dict(zip(ALL_CHECKS, s._verdicts(b, ok, ALL_CHECKS, 1e-8)))
+
+
+def test_labeled_copies_differ_from_their_class_by_rounding():
+    n = 6
+    reps, _ = sweep_module._classes(n)
+    rep_batch, at_reps = _copies(n, reps)
+    deviation, steep_deviation = 0.0, 0.0
+    for k, r in enumerate(reps):
+        _, at_copies = _copies(n, sweep_module._orbit(n, int(r)))
+        for name, (applicable, _, slack, _) in at_reps.items():
+            assert (at_copies[name][0] == applicable[k]).all()
+            if applicable[k]:
+                d = float(np.abs(at_copies[name][2] - slack[k]).max())
+                steep = CHECKS[name].steep is not None and CHECKS[name].steep(rep_batch)[k]
+                if steep:
+                    steep_deviation = max(steep_deviation, d)
+                else:
+                    deviation = max(deviation, d)
+    assert deviation <= 1e-12
+    # A square root of a radicand near 0 turns rounding of 1e-15 into about
+    # 1e-7, which is why the orbit sweep expands steep rows.
+    assert DUST_TOL < steep_deviation < TIGHT_TOL
+
+
+def test_any_representative_gives_the_labeled_report():
+    # Represent each class by its copy with the largest intermediate slack,
+    # up to 1e-7 above its siblings at the steep equality graphs: expanding
+    # steep rows keeps the report equal to the labeled one even for witness
+    # bands narrower than that spread.
+    n = 6
+    reps, sizes = sweep_module._classes(n)
+    far = []
+    for r in reps:
+        orbit = sweep_module._orbit(n, int(r))
+        applicable, _, slack, _ = _copies(n, orbit)[1]["intermediate"]
+        far.append(orbit[int(np.argmax(np.where(applicable, slack, -np.inf)))])
+    for witness_tol in (0.0, 1e-8):
+        got = sweep_module._process_classes(n, np.array(far), sizes, ALL_CHECKS, 1e-8, witness_tol)
+        oracle = sweep_labeled(n, witness_tol=witness_tol, dump_path=os.devnull)
+        assert got.finalize().to_dict() == oracle.to_dict()
+
+
+def test_violation_threshold_inside_one_class():
+    # A (negative) tolerance that puts the upper_n violation threshold in the
+    # middle of one class's spread of rounded slacks: some copies violate the
+    # bound and others do not, so the class must be evaluated copy by copy.
+    n = 6
+    for r in sweep_module._classes(n)[0]:
+        applicable, _, slack, _ = _copies(n, sweep_module._orbit(n, int(r)))[1]["upper_n"]
+        if slack.max() > slack.min():
+            break
+    tol = -(slack.max() + slack.min()) / 2 / max(1.0, upper_bound_order(n))
+    oracle = sweep_labeled(n, checks=("upper_n",), tol=tol, dump_path=os.devnull)
+    assert 0 < oracle.checks["upper_n"].violated
+    assert sweep_labeled(n, checks=("upper_n",), tol=tol).to_dict() == oracle.to_dict()
+
+
+def test_parallel_violation_examples_match_serial(monkeypatch):
+    # A negative tolerance makes thousands of violations, more than the cap,
+    # spread over every part; the examples are still the first in mask order.
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _NoPool)
+    serial = sweep_labeled(6, tol=-0.5)
+    assert serial.checks["upper_n"].violated > 20
+    assert sweep_labeled(6, tol=-0.5, jobs=4).to_dict() == serial.to_dict()
