@@ -33,6 +33,8 @@ LEMMA_NOT_APPLICABLE = "not_applicable"
 REGIME_FIRST = "first"
 REGIME_SECOND = "second"
 
+_SCAN_CHUNK = 1 << 16
+
 
 def _checked_sqrt(x, scale, what: str):
     """Square root with rounding dust clamped to zero.  A scalar radicand
@@ -234,14 +236,16 @@ def lemma1_theorem_domain(n: int, m, connected: Callable[[], np.ndarray]):
     return domain
 
 
-def lemma1_check(n: int, m: int, alpha: float, tol: float = VIOLATION_TOL) -> str:
+def lemma1_check(n: int, m, alpha, tol: float = VIOLATION_TOL):
     """Tri-state check of the half-spectrum moment inequality on its stated
-    domain: "holds", "violated" or "not_applicable".  It evaluates rather than
+    domain: "holds", "violated" or "not_applicable", for scalars, or a list of
+    them for arrays m and alpha of one batch.  It evaluates rather than
     asserts, so "violated" is a correct answer there, not an error."""
-    if not lemma1_stated_domain(n, m):
-        return LEMMA_NOT_APPLICABLE
+    if n < 3:  # the stated domain is empty (and r = 0)
+        return np.full(np.shape(m), LEMMA_NOT_APPLICABLE).tolist()
     value, bound = lemma1_terms(n, m, alpha)
-    return LEMMA_VIOLATED if violated(bound - value, bound, tol) else LEMMA_HOLDS
+    verdict = np.where(violated(bound - value, bound, tol), LEMMA_VIOLATED, LEMMA_HOLDS)
+    return np.where(lemma1_stated_domain(n, m), verdict, LEMMA_NOT_APPLICABLE).tolist()
 
 
 # ─── per-graph report ───────────────────────────────────────────────────────
@@ -318,18 +322,33 @@ def scan_order_bound(n: int) -> dict:
     the order bound as well; for odd orders the wide-regime branch is a weaker
     bound that can exceed the order bound (both still hold for every graph),
     so scan_max may be larger there.
+
+    m runs through float64 chunks of _SCAN_CHUNK with upper_bound's integer
+    regime test and formula code; numpy and math round + - * / and sqrt
+    correctly, in the same order, so every value is upper_bound's bit for bit.
     """
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
     even = n % 2 == 0
+    value = _upper_even_value if even else _upper_odd_value
+    # The last first-regime m, the same integer test as upper_bound_even/_odd.
+    thr = n ** 3 // (2 * (n + 2)) if even else n * n * (n - 3) ** 2 // (2 * (n * n - 4 * n + 11))
     best_val, best_m = -1.0, -1
     best_val_first, best_m_first = -1.0, -1
-    for m in range(n * (n - 1) // 2 + 1):
-        val, regime = upper_bound(n, m)
-        if val > best_val:
-            best_val, best_m = val, m
-        if regime == REGIME_FIRST and val > best_val_first:
-            best_val_first, best_m_first = val, m
+    top = n * (n - 1) // 2 + 1
+    for lo in range(0, top, _SCAN_CHUNK):
+        m = np.arange(lo, min(lo + _SCAN_CHUNK, top), dtype=np.float64)
+        cut = min(max(thr + 1 - lo, 0), len(m))
+        vals = np.concatenate((value(n, m[:cut], True), value(n, m[cut:], False)))
+        # argmax takes the first maximum and a later chunk must beat it
+        # strictly, so ties go to the smallest m as in an ascending scan.
+        k = int(vals.argmax())
+        if vals[k] > best_val:
+            best_val, best_m = float(vals[k]), lo + k
+        if cut:
+            k = int(vals[:cut].argmax())
+            if vals[k] > best_val_first:
+                best_val_first, best_m_first = float(vals[k]), lo + k
     # The real optimizer is always evaluated on the narrow branch: its
     # unconstrained real-m maximum is exactly the order bound.  (At odd
     # n in {5, 7} the optimizer lies outside the branch's integer regime,

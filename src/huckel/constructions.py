@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
+
+import numpy as np
 
 from .graphs import Graph, add_duplicate_vertex, add_isolated_vertex, complement, seidel_switch
 from .gf import FiniteField, is_prime_power, make_field, subfield_coset_partition
-from .spectra import SOLVER_TOL, TIGHT_TOL, eigenvalues
+from .spectra import SOLVER_TOL, TIGHT_TOL, Spectrum, eigenvalues
 from .srg import extremal_family_params, srg_params, switched_family_params
 
 
@@ -21,16 +23,10 @@ class ConstructionError(RuntimeError):
 def _paley_from_field(field: FiniteField, adjacency: str) -> Graph:
     if adjacency not in ("square", "nonsquare"):
         raise ValueError(f"adjacency must be 'square' or 'nonsquare', got {adjacency!r}")
-    q = field.order
-    want = adjacency == "square"
-    sq = [field.is_square(x) for x in range(q)]
-    rows = [0] * q
-    for i in range(q):
-        for j in range(i + 1, q):
-            if sq[field.sub(i, j)] == want:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph._from_rows_unchecked(q, tuple(rows))
+    # Pairs i < j decide and are mirrored: symmetric even if -1 is a nonsquare.
+    adj = np.triu(field.squares()[field.difference_table()] == (adjacency == "square"), 1)
+    bits = np.packbits(adj | adj.T, axis=1, bitorder="little")
+    return Graph._from_rows_unchecked(field.order, tuple(int.from_bytes(r, "little") for r in bits))
 
 
 def paley_graph(q: int, adjacency: str = "square") -> Graph:
@@ -157,10 +153,11 @@ class RemarkSpectrumReport:
     cubic_roots: Tuple[float, float, float]
 
 
-def verify_remark_spectrum(h: Graph, t: int, tol: float = TIGHT_TOL) -> RemarkSpectrumReport:
-    """Match h's spectrum against the duplicated-vertex template
-    {x1, t^(2t^2+2t-1), x2, 0, (-t-1)^(2t^2+2t), x3} with x1 >= x2 >= x3 the
-    cubic's roots.  The report carries per-entry deviations."""
+def verify_remark_spectrum(h: Graph, t: int, tol: float = TIGHT_TOL,
+                           spectrum: Optional[Spectrum] = None) -> RemarkSpectrumReport:
+    """Match h's spectrum (computed unless given) against the duplicated-vertex
+    template {x1, t^(2t^2+2t-1), x2, 0, (-t-1)^(2t^2+2t), x3}, x1 >= x2 >= x3
+    the cubic's roots.  The report carries per-entry deviations."""
     n = 4 * t * t + 4 * t + 3
     if h.n != n:
         raise ValueError(f"graph has {h.n} vertices, template needs {n}")
@@ -169,7 +166,7 @@ def verify_remark_spectrum(h: Graph, t: int, tol: float = TIGHT_TOL) -> RemarkSp
     template += [float(t)] * (2 * t * t + 2 * t - 1)
     template += [float(-t - 1)] * (2 * t * t + 2 * t)
     template.sort(reverse=True)
-    spec = eigenvalues(h)
+    spec = spectrum if spectrum is not None else eigenvalues(h)
     deviations = tuple(float(c) - e for c, e in zip(spec.values, template))
     max_dev = max(abs(d) for d in deviations)
     return RemarkSpectrumReport(

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 _TABLE_LIMIT = 10 ** 4
 
 
@@ -244,6 +246,19 @@ class FiniteField:
 
     def primitive_element(self) -> int:
         return self._generator
+
+    def difference_table(self) -> np.ndarray:
+        """(q, q) int32 array holding a - b at [a, b], built digit by digit."""
+        x = np.arange(self.order, dtype=np.int32)
+        out = np.zeros((self.order, self.order), dtype=np.int32)
+        for pw in self._pp:
+            d = x // pw % self.p
+            out += (d[:, None] - d[None, :]) % self.p * pw
+        return out
+
+    def squares(self) -> np.ndarray:
+        """is_square of every element, as a boolean array (log[0] is 0)."""
+        return (np.array(self.log) % 2 == 0) | (self.p == 2)
 
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, e={self.e}, order={self.order})"

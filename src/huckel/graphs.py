@@ -223,6 +223,8 @@ def seidel_switch(g: Graph, switch_set: Iterable[int]) -> Graph:
 _HEADER = ">>graph6<<"
 # The ASCII characters str.strip() drops by default.
 _ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+# A 6-bit group, written most significant bit first, to its graph6 byte.
+_G6_CHAR = {format(v, "06b"): chr(63 + v) for v in range(64)}
 
 
 def pair_order(n: int) -> List[Tuple[int, int]]:
@@ -238,20 +240,14 @@ def write_graph6(g: Graph) -> str:
         head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
     else:
         raise Graph6Error(f"n={n} exceeds the supported graph6 range (max {_LONG_MAX})")
-    out = [head]
-    group = 0
-    nbits = 0
+    # Column j of the upper triangle is bits 0..j-1 of row j: OR them into one
+    # int at offset j(j-1)/2, whose bit k is then the k-th graph6 bit.
+    rows, mask = g.rows, 0
     for j in range(1, n):
-        for i in range(j):
-            group = (group << 1) | ((g.rows[i] >> j) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + group))
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (group << (6 - nbits))))
-    return "".join(out)
+        mask |= (rows[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    width = -(-(n * (n - 1) // 2) // 6) * 6
+    bits = format(mask, f"0{width}b")[::-1]
+    return head + "".join([_G6_CHAR[bits[k:k + 6]] for k in range(0, width, 6)])
 
 
 def graph6_records(fh: TextIO) -> Iterator[Tuple[int, str]]:

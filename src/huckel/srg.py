@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .graphs import Graph
 from .spectra import DUST_TOL
 
@@ -51,30 +53,19 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
     n = g.n
     if n < 3:
         return None
-    rows = g.rows
-    degs = [r.bit_count() for r in rows]
+    degs = g.degrees()
     k = degs[0]
-    if any(d != k for d in degs):
+    if any(d != k for d in degs) or k == 0 or k == n - 1:
         return None
-    if k == 0 or k == n - 1:
+    # Common-neighbour counts are the entries of A @ A, exact in float64;
+    # 0 < k < n-1 guarantees both an edge and a non-edge.
+    a = g.dense()
+    upper = np.triu_indices(n, 1)
+    edge, common = a[upper] > 0.0, (a @ a)[upper]
+    lam, mu = common[edge], common[~edge]
+    if lam.min() != lam.max() or mu.min() != mu.max():
         return None
-    lam = mu = None
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            common = (ri & rows[j]).bit_count()
-            if (ri >> j) & 1:
-                if lam is None:
-                    lam = common
-                elif common != lam:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif common != mu:
-                    return None
-    # k strictly between 0 and n-1 guarantees both an edge and a non-edge.
-    return SrgParams(n, k, lam, mu)
+    return SrgParams(n, k, int(lam[0]), int(mu[0]))
 
 
 def predicted_spectrum(p: SrgParams) -> List[Tuple[float, int]]:

@@ -312,6 +312,7 @@ def _dump_rows(b: _Batch, tol: float, g6_of) -> List[list]:
     stated domain (lemma1_check), wider than the domain the sweep asserts."""
     n, g = b.n, "{:.12g}".format
     en = energy(b.w)
+    lemma1 = lemma1_check(n, b.m, b.alpha, tol=tol)
     un = upper_bound_order(n) if n >= 1 else None
     lb = lower_bound(n) if n >= 2 else None
     rows = []
@@ -328,7 +329,7 @@ def _dump_rows(b: _Batch, tol: float, g6_of) -> List[list]:
             row += [g(lb), int(not b.isolated[idx]), g(he - lb), g(b.f1[idx]), g(b.f2[idx])]
         else:
             row += [""] * 5
-        row.append(lemma1_check(n, m, float(b.alpha[idx]), tol=tol))
+        row.append(lemma1[idx])
         rows.append(row)
     return rows
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from conftest import random_graph
 from huckel.graphs import Graph, add_isolated_vertex, disjoint_union
 from huckel.bounds import (
+    _upper_even_value,
+    _upper_odd_value,
     bound_report,
     classify_equality,
     intermediate_bounds,
@@ -334,3 +337,63 @@ def test_bounds_hold_on_random_graphs(seed):
         assert he <= rep.upper_n + 1e-8 * max(1.0, rep.upper_n)
         if rep.lower_applies:
             assert he >= rep.lower - 1e-8 * max(1.0, rep.lower)
+
+
+def _scan_by_loop(n):
+    """The per-m scan that scan_order_bound replaced, kept as its oracle."""
+    best_val, best_m, best_val_first, best_m_first = -1.0, -1, -1.0, -1
+    for m in range(n * (n - 1) // 2 + 1):
+        val, regime = upper_bound(n, m)
+        if val > best_val:
+            best_val, best_m = val, m
+        if regime == "first" and val > best_val_first:
+            best_val_first, best_m_first = val, m
+    return {"scan_max": best_val, "scan_argmax": best_m,
+            "scan_max_first": best_val_first, "scan_argmax_first": best_m_first}
+
+
+def _check_scan_against_loop(n):
+    scan, loop = scan_order_bound(n), _scan_by_loop(n)
+    for key, expected in loop.items():
+        assert scan[key] == expected, (n, key)
+        assert type(scan[key]) is type(expected), (n, key)
+
+
+def test_scan_order_bound_equals_the_per_m_scan():
+    # No tolerance: the vector scan must pick the same m and the same float.
+    for n in list(range(2, 151)) + [997, 1000]:
+        _check_scan_against_loop(n)
+
+
+def test_scan_order_bound_chunk_boundaries(monkeypatch):
+    # Tiny chunks put regime cuts and ties on chunk edges.
+    for chunk in (1, 2, 7):
+        monkeypatch.setattr("huckel.bounds._SCAN_CHUNK", chunk)
+        for n in range(2, 40):
+            _check_scan_against_loop(n)
+
+
+def test_scan_order_bound_ties_go_to_the_smallest_m(monkeypatch):
+    # The real formula has no ties at its maxima for n < 1400; a floored one
+    # has plateaus, so the argmax must be decided as the ascending scan does.
+    for name, real in (("_upper_even_value", _upper_even_value), ("_upper_odd_value", _upper_odd_value)):
+        monkeypatch.setattr(f"huckel.bounds.{name}", lambda n, m, first, real=real: np.floor(real(n, m, first)))
+    for chunk in (1, 3, 1 << 16):
+        monkeypatch.setattr("huckel.bounds._SCAN_CHUNK", chunk)
+        for n in range(2, 40):
+            loop = _scan_by_loop(n)
+            assert {key: scan_order_bound(n)[key] for key in loop} == loop, (chunk, n)
+
+
+def test_lemma1_check_array_form_matches_scalar():
+    rng = np.random.default_rng(0x1E)
+    for n in (1, 2, 3, 4, 7, 8):
+        m = rng.integers(0, n * (n - 1) // 2 + 1, size=64)
+        alpha = rng.uniform(0.0, 3.0 * max(1, n), size=64)
+        for tol in (0.0, 1e-8, 0.5):
+            batch = lemma1_check(n, m, alpha, tol=tol)
+            assert batch == [lemma1_check(n, int(mk), float(ak), tol=tol) for mk, ak in zip(m, alpha)]
+            assert all(type(v) is str for v in batch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # r = 0 at n = 1 must not be divided by
+        assert lemma1_check(1, np.zeros(3, dtype=int), np.zeros(3)) == ["not_applicable"] * 3

@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from huckel.cli import main
@@ -311,3 +312,18 @@ def test_repeated_runs_byte_identical(capsys, tmp_path):
     _, g6_a, _ = run(capsys, ["construct", "extremal", "--t", "2"])
     _, g6_b, _ = run(capsys, ["construct", "extremal", "--t", "2"])
     assert g6_a == g6_b
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "extremal", "--t", "1"],
+    ["construct", "switched", "--t", "2"],
+    ["construct", "remark", "--t", "1"],
+    ["construct", "conference", "--q", "13"],
+])
+def test_construct_eigensolves_its_graph_once(argv, capsys, monkeypatch, tmp_path):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    code, out, err = run(capsys, argv + ["--cert", str(tmp_path / "cert.json")])
+    assert code == 0 and err == ""
+    assert len(calls) == 1

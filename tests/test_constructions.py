@@ -8,6 +8,7 @@ import pytest
 from huckel.bounds import upper_bound_order_even
 from huckel.constructions import (
     ConstructionError,
+    _paley_from_field,
     build_extremal_srg,
     build_remark_graph,
     build_switched_srg,
@@ -16,6 +17,7 @@ from huckel.constructions import (
     remark_cubic,
     verify_remark_spectrum,
 )
+from huckel.gf import is_prime_power, make_field
 from huckel.graphs import Graph, complement, write_graph6
 from huckel.spectra import eigenvalues, energy_values
 from huckel.srg import srg_params
@@ -137,3 +139,32 @@ def test_conference_closed_form_disagrees_with_spectrum():
         assert abs(stated - computed) > 1e-3  # genuinely different values
     with pytest.raises(ValueError):
         conference_he_closed_form(0)
+
+
+def _paley_by_loop(field, adjacency):
+    """The field.sub loop that _paley_from_field replaced, kept as its oracle."""
+    want = adjacency == "square"
+    sq = [field.is_square(x) for x in range(field.order)]
+    rows = [0] * field.order
+    for i in range(field.order):
+        for j in range(i + 1, field.order):
+            if sq[field.sub(i, j)] == want:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph.from_rows(field.order, rows)
+
+
+# 4, 8 (characteristic 2) and 27 (-1 a nonsquare) exercise the mirroring.
+@pytest.mark.parametrize("q", [4, 5, 8, 9, 13, 25, 27, 49, 81, 121])
+@pytest.mark.parametrize("adjacency", ["square", "nonsquare"])
+def test_paley_from_field_equals_the_field_sub_loop(q, adjacency):
+    field = make_field(*is_prime_power(q))
+    g = _paley_from_field(field, adjacency)
+    assert g == _paley_by_loop(field, adjacency)
+    assert all(type(r) is int for r in g.rows)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_remark_spectrum_takes_a_computed_spectrum(t):
+    h = build_remark_graph(t)
+    assert verify_remark_spectrum(h, t, spectrum=eigenvalues(h)) == verify_remark_spectrum(h, t)

@@ -146,3 +146,13 @@ def test_subfield_coset_partition_larger():
 def test_subfield_coset_partition_validation():
     with pytest.raises(ValueError):
         subfield_coset_partition(make_field(3, 2), 4)
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_difference_table_and_squares_match_the_scalar_ops(p, e):
+    f = make_field(p, e)
+    table, squares = f.difference_table(), f.squares()
+    assert table.shape == (f.order, f.order) and squares.shape == (f.order,)
+    for a in range(f.order):
+        assert [int(x) for x in table[a]] == [f.sub(a, b) for b in range(f.order)]
+        assert bool(squares[a]) == f.is_square(a)

@@ -256,3 +256,31 @@ def test_graph6_roundtrip_random(seed):
         if g.n > 0:
             expected = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
             assert record == expected
+
+
+def _graph6_by_bit_loop(g: Graph) -> str:
+    """The bit-by-bit writer that write_graph6 replaced, kept as its oracle."""
+    n = g.n
+    if n <= 62:
+        out = [chr(63 + n)]
+    else:
+        out = ["~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))]
+    group = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            group = (group << 1) | ((g.rows[i] >> j) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + group))
+                group = nbits = 0
+    if nbits:
+        out.append(chr(63 + (group << (6 - nbits))))
+    return "".join(out)
+
+
+def test_write_graph6_equals_the_bit_loop():
+    rng = random.Random(0x96)
+    graphs = [random_graph(rng, n, rng.random()) for n in range(90)]
+    graphs += [random_graph(rng, 300, 0.3), Graph.complete(70), Graph.empty(63)]
+    for g in graphs:
+        assert write_graph6(g) == _graph6_by_bit_loop(g), g.n

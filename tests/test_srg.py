@@ -2,6 +2,7 @@
 
 import pytest
 
+from huckel.constructions import build_extremal_srg, build_switched_srg, paley_graph
 from huckel.graphs import Graph, complement, parse_graph6
 from huckel.bounds import upper_bound_order_even
 from huckel.spectra import eigenvalues, group_spectrum, huckel_energy
@@ -119,3 +120,43 @@ def test_family_params_validation():
         switched_family_params(0)
     with pytest.raises(ValueError):
         predicted_extremal_he(-1)
+
+
+def _srg_by_loop(g):
+    """The common-neighbour loop that srg_params replaced, kept as its oracle."""
+    n, rows = g.n, g.rows
+    if n < 3:
+        return None
+    degs = [r.bit_count() for r in rows]
+    k = degs[0]
+    if any(d != k for d in degs) or k == 0 or k == n - 1:
+        return None
+    lam = mu = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = (rows[i] & rows[j]).bit_count()
+            if (rows[i] >> j) & 1:
+                if lam is None:
+                    lam = common
+                elif common != lam:
+                    return None
+            elif mu is None:
+                mu = common
+            elif common != mu:
+                return None
+    return SrgParams(n, k, lam, mu)
+
+
+def test_srg_params_equals_the_common_neighbour_loop():
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    cube = Graph(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b])
+    graphs = [build_extremal_srg(t) for t in (1, 2, 3)] + [build_switched_srg(t) for t in (1, 2, 3)]
+    graphs += [paley_graph(13), two_triangles, Graph.cycle(6), cube, Graph.path(5), Graph.star(4)]
+    graphs += [Graph.empty(n) for n in range(5)] + [Graph.complete(n) for n in range(5)]
+    for g in graphs:
+        got = srg_params(g)
+        assert got == _srg_by_loop(g), g
+        if got is not None:
+            assert all(type(x) is int for x in got.as_tuple())
+    assert srg_params(two_triangles).as_tuple() == (6, 2, 1, 0)
+    assert srg_params(cube) is None and srg_params(Graph.cycle(6)) is None
