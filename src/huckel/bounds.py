@@ -33,7 +33,8 @@ LEMMA_NOT_APPLICABLE = "not_applicable"
 REGIME_FIRST = "first"
 REGIME_SECOND = "second"
 
-_SCAN_CHUNK = 1 << 16
+# 64 KB float64 arrays: they stay in cache, and peak memory does not grow with n.
+_SCAN_CHUNK = 1 << 13
 
 
 def _checked_sqrt(x, scale, what: str):
@@ -308,6 +309,22 @@ def classify_equality(report: BoundReport, tol: float = TIGHT_TOL) -> Set[str]:
     return {tag for tag, bound in bounds.items() if bound is not None and tight(bound - he, bound, tol)}
 
 
+def _branch_max(n: int, first: bool, lo: int, hi: int) -> Tuple[float, int]:
+    """(max, first m attaining it) of one regime's branch over m = lo..hi-1,
+    or (-1.0, -1) if empty, as an ascending scan of upper_bound finds them:
+    float64 chunks run the same formula code, and numpy rounds + - * / and
+    sqrt correctly as math does, so each value is the scalar one bit for bit;
+    argmax takes a chunk's first maximum, and a later chunk must beat it."""
+    value = _upper_even_value if n % 2 == 0 else _upper_odd_value
+    best, at = -1.0, -1
+    for start in range(lo, hi, _SCAN_CHUNK):
+        vals = value(n, np.arange(start, min(start + _SCAN_CHUNK, hi), dtype=np.float64), first)
+        k = int(vals.argmax())
+        if vals[k] > best:
+            best, at = float(vals[k]), start + k
+    return best, at
+
+
 def scan_order_bound(n: int) -> dict:
     """Scan the two-parameter bound over every integer m and compare with the
     order-only bound.
@@ -322,33 +339,17 @@ def scan_order_bound(n: int) -> dict:
     the order bound as well; for odd orders the wide-regime branch is a weaker
     bound that can exceed the order bound (both still hold for every graph),
     so scan_max may be larger there.
-
-    m runs through float64 chunks of _SCAN_CHUNK with upper_bound's integer
-    regime test and formula code; numpy and math round + - * / and sqrt
-    correctly, in the same order, so every value is upper_bound's bit for bit.
     """
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
     even = n % 2 == 0
-    value = _upper_even_value if even else _upper_odd_value
-    # The last first-regime m, the same integer test as upper_bound_even/_odd.
-    thr = n ** 3 // (2 * (n + 2)) if even else n * n * (n - 3) ** 2 // (2 * (n * n - 4 * n + 11))
-    best_val, best_m = -1.0, -1
-    best_val_first, best_m_first = -1.0, -1
     top = n * (n - 1) // 2 + 1
-    for lo in range(0, top, _SCAN_CHUNK):
-        m = np.arange(lo, min(lo + _SCAN_CHUNK, top), dtype=np.float64)
-        cut = min(max(thr + 1 - lo, 0), len(m))
-        vals = np.concatenate((value(n, m[:cut], True), value(n, m[cut:], False)))
-        # argmax takes the first maximum and a later chunk must beat it
-        # strictly, so ties go to the smallest m as in an ascending scan.
-        k = int(vals.argmax())
-        if vals[k] > best_val:
-            best_val, best_m = float(vals[k]), lo + k
-        if cut:
-            k = int(vals[:cut].argmax())
-            if vals[k] > best_val_first:
-                best_val_first, best_m_first = float(vals[k]), lo + k
+    # The last first-regime m, by the integer test of upper_bound_even/_odd.
+    thr = n ** 3 // (2 * (n + 2)) if even else n * n * (n - 3) ** 2 // (2 * (n * n - 4 * n + 11))
+    best_val_first, best_m_first = _branch_max(n, True, 0, min(thr + 1, top))
+    best_val, best_m = _branch_max(n, False, min(thr + 1, top), top)
+    if best_val <= best_val_first:  # a tie goes to the smaller, first-regime m
+        best_val, best_m = best_val_first, best_m_first
     # The real optimizer is always evaluated on the narrow branch: its
     # unconstrained real-m maximum is exactly the order bound.  (At odd
     # n in {5, 7} the optimizer lies outside the branch's integer regime,
