@@ -340,7 +340,7 @@ def test_bounds_hold_on_random_graphs(seed):
 
 
 def _scan_by_loop(n):
-    """The per-m scan that scan_order_bound replaced, kept as its oracle."""
+    """The scalar per-m scan: the reference scan_order_bound must equal."""
     best_val, best_m, best_val_first, best_m_first = -1.0, -1, -1.0, -1
     for m in range(n * (n - 1) // 2 + 1):
         val, regime = upper_bound(n, m)

@@ -142,7 +142,7 @@ def test_conference_closed_form_disagrees_with_spectrum():
 
 
 def _paley_by_loop(field, adjacency):
-    """The field.sub loop that _paley_from_field replaced, kept as its oracle."""
+    """The scalar field.sub loop: the reference _paley_from_field must equal."""
     want = adjacency == "square"
     sq = [field.is_square(x) for x in range(field.order)]
     rows = [0] * field.order

@@ -259,7 +259,7 @@ def test_graph6_roundtrip_random(seed):
 
 
 def _graph6_by_bit_loop(g: Graph) -> str:
-    """The bit-by-bit writer that write_graph6 replaced, kept as its oracle."""
+    """The bit-by-bit writer: the reference write_graph6 must equal."""
     n = g.n
     if n <= 62:
         out = [chr(63 + n)]

@@ -123,7 +123,7 @@ def test_family_params_validation():
 
 
 def _srg_by_loop(g):
-    """The common-neighbour loop that srg_params replaced, kept as its oracle."""
+    """The common-neighbour loop: the reference srg_params must equal."""
     n, rows = g.n, g.rows
     if n < 3:
         return None
