@@ -43,7 +43,7 @@ from .srg import (
     srg_params,
     switched_family_params,
 )
-from .sweep import ALL_CHECKS, stream_corpus, sweep, sweep_labeled
+from .sweep import ALL_CHECKS, corpus_records, sweep, sweep_labeled
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -234,7 +234,7 @@ def _cmd_verify(args) -> int:
                 )
             ]
         else:
-            graphs = stream_corpus(args.corpus, on_error="skip" if args.skip_bad else "raise")
+            graphs = corpus_records(args.corpus, on_error="skip" if args.skip_bad else "raise")
             reports = sweep(graphs, checks=checks, tol=args.tol, dump_path=args.dump)
     except (ValueError, Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -232,22 +232,26 @@ def pair_order(n: int) -> List[Tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def write_graph6(g: Graph) -> str:
-    n = g.n
+def mask_graph6(n: int, mask: int) -> str:
+    """The graph6 record of the graph on n vertices with pair k an edge iff bit k of mask is set."""
     if n <= _SHORT_MAX:
         head = chr(63 + n)
     elif n <= _LONG_MAX:
         head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
     else:
         raise Graph6Error(f"n={n} exceeds the supported graph6 range (max {_LONG_MAX})")
-    # Column j of the upper triangle is bits 0..j-1 of row j: OR them into one
-    # int at offset j(j-1)/2, whose bit k is then the k-th graph6 bit.
-    rows, mask = g.rows, 0
-    for j in range(1, n):
-        mask |= (rows[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
     width = -(-(n * (n - 1) // 2) // 6) * 6
     bits = format(mask, f"0{width}b")[::-1]
     return head + "".join([_G6_CHAR[bits[k:k + 6]] for k in range(0, width, 6)])
+
+
+def write_graph6(g: Graph) -> str:
+    # Column j of the upper triangle is bits 0..j-1 of row j: OR them into one
+    # int at offset j(j-1)/2, whose bit k is then the k-th graph6 bit.
+    rows, mask = g.rows, 0
+    for j in range(1, g.n):
+        mask |= (rows[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    return mask_graph6(g.n, mask)
 
 
 def graph6_records(fh: TextIO) -> Iterator[Tuple[int, str]]:
@@ -263,6 +267,54 @@ def graph6_records(fh: TextIO) -> Iterator[Tuple[int, str]]:
             yield ln, record
 
 
+def pair_batch(n: int, bits: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """The (B, n, n) adjacency batch of (B, C(n,2)) pair bits in graph6 order,
+    which is the row-major order of the strict lower triangle."""
+    lower = np.tri(n, k=-1, dtype=bool)
+    a = np.zeros((len(bits), n, n), dtype=np.uint8)  # scattered as bytes, then widened: faster
+    a[:, lower] = bits
+    a.transpose(0, 2, 1)[:, lower] = bits
+    return a.astype(dtype, copy=False)
+
+
+def pair_bits(g: Graph) -> np.ndarray:
+    """The uint8 pair bits of g in graph6 order: pair_batch's inverse."""
+    return g.dense()[np.tri(g.n, k=-1, dtype=bool)].astype(np.uint8)
+
+
+def _body_bits(n: int, body: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The (B, C(n,2)) uint8 pair bits of (B, k) graph6 bodies less 63, six
+    bits per byte, most significant first; and which rows have zero padding."""
+    nbits = n * (n - 1) // 2
+    clean = ((body[:, -1:] & ((1 << (6 * body.shape[1] - nbits)) - 1)) == 0).all(axis=1)
+    bits = np.unpackbits(body[:, :, None], axis=2)[:, :, 2:]
+    return bits.reshape(len(body), 6 * body.shape[1])[:, :nbits], clean
+
+
+def decode_graph6_batch(records: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+    """Decode non-empty records of a latin-1 stream in bulk: each record's
+    order, or -1 unless it is short-form with the length its order needs,
+    every byte in 63..126 and zero padding (parse_graph6 decides the rest);
+    each decoded record's row in its order's group; and per order the pair
+    bits of its decoded records.  A decoded record is its write_graph6 string."""
+    lens = np.fromiter(map(len, records), np.int64, len(records))
+    data = np.frombuffer("".join(records).encode("latin-1"), np.uint8)
+    starts = np.cumsum(lens) - lens
+    order = data[starts].astype(np.int64) - 63
+    need = (order * (order - 1) // 2 + 5) // 6
+    order[(order < 0) | (order > _SHORT_MAX) | (lens != 1 + need)] = -1
+    rank, groups = np.zeros(len(records), np.int64), {}
+    for n in np.unique(order[order >= 0]).tolist():
+        idx = np.nonzero(order == n)[0]
+        body = data[starts[idx, None] + 1 + np.arange(need[idx[0]])] - np.uint8(63)
+        bits, clean = _body_bits(n, body)
+        good = clean & (body < 64).all(axis=1)
+        order[idx[~good]] = -1
+        rank[idx[good]] = np.arange(good.sum())
+        groups[n] = bits[good]
+    return order, rank, groups
+
+
 def parse_graph6(text: str) -> Graph:
     record = text.rstrip("\r\n")
     if record.startswith(_HEADER):
@@ -270,10 +322,8 @@ def parse_graph6(text: str) -> Graph:
     if not record:
         raise Graph6Error("empty graph6 record")
     if record[0] in ":;&":
-        raise Graph6Error(
-            f"record starts with {record[0]!r}: sparse6/digraph6/incremental formats "
-            "are not supported (undirected graph6 only)"
-        )
+        raise Graph6Error(f"record starts with {record[0]!r}: sparse6/digraph6/incremental formats "
+                          "are not supported (undirected graph6 only)")
     for pos, ch in enumerate(record):
         if not (63 <= ord(ch) <= 126):
             raise Graph6Error(f"byte {ord(ch)} at position {pos} outside graph6 range [63,126]")
@@ -288,30 +338,12 @@ def parse_graph6(text: str) -> Graph:
         n = ord(record[0]) - 63
         body_start = 1
     body = record[body_start:]
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
-        raise Graph6Error(
-            f"body for n={n} needs {need} bytes, got {len(body)} (body starts at position {body_start})"
-        )
-    rows = [0] * n
-    k = 0  # index into the upper-triangle bit sequence
-    j, i = 1, 0
-    for bpos, ch in enumerate(body):
-        group = ord(ch) - 63
-        for sub in range(5, -1, -1):
-            bit = (group >> sub) & 1
-            if k < nbits:
-                if bit:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                k += 1
-                i += 1
-                if i == j:
-                    j += 1
-                    i = 0
-            elif bit:
-                raise Graph6Error(
-                    f"nonzero padding bit in final group (byte position {body_start + bpos})"
-                )
-    return Graph._from_rows_unchecked(n, tuple(rows))
+        raise Graph6Error(f"body for n={n} needs {need} bytes, got {len(body)} "
+                          f"(body starts at position {body_start})")
+    bits, clean = _body_bits(n, np.frombuffer(body.encode("latin-1"), np.uint8)[None] - np.uint8(63))
+    if not clean[0]:
+        raise Graph6Error(f"nonzero padding bit in final group (byte position {body_start + need - 1})")
+    packed = np.packbits(pair_batch(n, bits, np.uint8)[0], axis=1, bitorder="little")
+    return Graph._from_rows_unchecked(n, tuple(int.from_bytes(row, "little") for row in packed))

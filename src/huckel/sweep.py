@@ -34,7 +34,8 @@ from .bounds import (
     upper_bound_order,
     violated,
 )
-from .graphs import Graph, Graph6Error, dense_batch, graph6_records, pair_order, parse_graph6, write_graph6
+from .graphs import (Graph, Graph6Error, decode_graph6_batch, graph6_records, mask_graph6, pair_batch, pair_bits,
+                     pair_order, parse_graph6, write_graph6)
 from .spectra import DUST_TOL, TIGHT_TOL, VIOLATION_TOL, energy, half_spectrum, invariants_hold
 
 ENUM_MAX_N = 7
@@ -43,6 +44,7 @@ _HIST_BINS = 512  # slack histogram covers [0, 0.512); larger slacks overflow
 _WITNESS_CAP = 1000
 _VIOLATION_CAP = 20
 _BATCH = 1 << 16
+_CHUNK = 1 << 14  # corpus records decoded together
 
 
 @dataclass
@@ -169,19 +171,7 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
         )
     pairs = pair_order(n)
     for mask in range(1 << len(pairs)):
-        yield _graph_from_mask(n, pairs, mask)
-
-
-def _graph_from_mask(n: int, pairs: List[Tuple[int, int]], mask: int) -> Graph:
-    rows = [0] * n
-    k = mask
-    while k:
-        low = k & -k
-        i, j = pairs[low.bit_length() - 1]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-        k ^= low
-    return Graph._from_rows_unchecked(n, tuple(rows))
+        yield Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
 def _mask_of(pairs: List[Tuple[int, int]], g6: str) -> int:
@@ -189,21 +179,34 @@ def _mask_of(pairs: List[Tuple[int, int]], g6: str) -> int:
     return sum(1 << k for k, (i, j) in enumerate(pairs) if rows[i] >> j & 1)
 
 
-def stream_corpus(path: str, on_error: str = "raise") -> Iterator[Graph]:
-    """Yield graphs from a file of graph6 records, one per line.
-
-    Blank lines are skipped.  Malformed records raise (with the line number)
-    or are skipped, per on_error in {"raise", "skip"}.
-    """
+def corpus_records(path: str, on_error: str = "raise") -> Iterator[Tuple[int, np.ndarray, str]]:
+    """(order, pair bits, graph6) of each record of a graph6 file, one per
+    line, in file order, decoded _CHUNK at a time by decode_graph6_batch.
+    Each record it leaves goes through parse_graph6 and, if it parses, is
+    re-encoded by write_graph6.  Blank lines are skipped.  Malformed records
+    raise (with the line number) or are skipped, per on_error in {"raise", "skip"}."""
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
     with open(path, "r", encoding="latin-1") as fh:
-        for ln, record in graph6_records(fh):
-            try:
-                yield parse_graph6(record)
-            except Graph6Error as exc:
-                if on_error == "raise":
-                    raise Graph6Error(f"{path}:{ln}: {exc}") from exc
+        stream = graph6_records(fh)
+        while chunk := list(itertools.islice(stream, _CHUNK)):
+            order, rank, groups = decode_graph6_batch([record for _, record in chunk])
+            for (ln, record), n, k in zip(chunk, order.tolist(), rank.tolist()):
+                if n >= 0:
+                    yield n, groups[n][k], record
+                    continue
+                try:
+                    g = parse_graph6(record)
+                except Graph6Error as exc:
+                    if on_error == "raise":
+                        raise Graph6Error(f"{path}:{ln}: {exc}") from exc
+                    continue
+                yield g.n, pair_bits(g), write_graph6(g)
+
+
+def stream_corpus(path: str, on_error: str = "raise") -> Iterator[Graph]:
+    """The graphs of corpus_records(path, on_error)."""
+    return (parse_graph6(g6) for _, _, g6 in corpus_records(path, on_error))
 
 
 # ─── per-order bound tables ─────────────────────────────────────────────────
@@ -510,21 +513,12 @@ def _near_decision(check: Check, b: _Batch, applicable, slack, bound, tol: float
 
 def _mask_batch(n: int, masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The (B, n, n) adjacency batch and edge counts of edge masks."""
-    pairs = pair_order(n)
-    shifts = np.arange(len(pairs), dtype=np.int64)
-    iu = np.array([p[0] for p in pairs], dtype=np.int64)
-    ju = np.array([p[1] for p in pairs], dtype=np.int64)
-    bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-    a = np.zeros((len(masks), n, n))
-    idx = np.arange(len(masks))[:, None]
-    a[idx, iu[None, :], ju[None, :]] = bits
-    a[idx, ju[None, :], iu[None, :]] = bits
-    return a, bits.sum(axis=1).astype(np.int64)
+    bits = (masks[:, None] >> np.arange(n * (n - 1) // 2, dtype=np.int64)) & 1
+    return pair_batch(n, bits), bits.sum(axis=1)
 
 
 def _mask_graph6(n: int, masks: np.ndarray):
-    pairs = pair_order(n)
-    return lambda i: write_graph6(_graph_from_mask(n, pairs, int(masks[i])))
+    return lambda i: mask_graph6(n, int(masks[i]))
 
 
 def _process_classes(
@@ -646,31 +640,34 @@ def sweep(
     witness_tol: float = TIGHT_TOL,
     dump_path: Optional[str] = None,
 ) -> List[SweepReport]:
-    """Sweep an arbitrary graph stream.  Mixed orders are grouped into
-    per-order sub-reports, returned sorted by order."""
+    """Sweep a stream of graphs or of corpus_records.  Records are buffered
+    per order in stream order; a buffer is swept as one batch when it holds
+    4,096 records, and the rest at the end, in the order the buffers were
+    opened.  Returns one report per order, sorted by order."""
     checks = _validate_checks(checks)
     reports: Dict[int, SweepReport] = {}
-    buffers: Dict[int, List[Graph]] = {}
+    buffers: Dict[int, Tuple[List[np.ndarray], List[str]]] = {}
     tables_cache: Dict[int, object] = {}
 
     def flush(n: int) -> None:
-        buf = buffers.pop(n)
+        bits, g6 = buffers.pop(n)
         if n not in reports:
             reports[n] = SweepReport.for_checks(n, checks)
             tables_cache[n] = _bound_tables(n)
-        a = dense_batch(buf, n)
-        m_arr = (a.sum(axis=(1, 2)) / 2).astype(np.int64)
+        bits = np.array(bits)
         _process_batch(
-            n, a, m_arr, checks, tol, witness_tol, tables_cache[n], reports[n],
-            lambda i: write_graph6(buf[i]),
-            dump,
+            n, pair_batch(n, bits), bits.sum(axis=1, dtype=np.int64), checks, tol, witness_tol,
+            tables_cache[n], reports[n], g6.__getitem__, dump,
         )
 
     with _dump_writer(dump_path) as dump:
-        for g in graphs:
-            buffers.setdefault(g.n, []).append(g)
-            if len(buffers[g.n]) >= 4096:
-                flush(g.n)
+        for item in graphs:
+            n, bits, g6 = item if isinstance(item, tuple) else (item.n, pair_bits(item), write_graph6(item))
+            buf = buffers.setdefault(n, ([], []))
+            buf[0].append(bits)
+            buf[1].append(g6)
+            if len(buf[1]) >= 4096:
+                flush(n)
         for n in list(buffers):
             flush(n)
     return [reports[n].finalize() for n in sorted(reports)]
