@@ -249,11 +249,11 @@ def _both(capsys, monkeypatch, tmp_path, path, *flags):
 def _seeded_corpus(seed):
     """Over 4,096 records of order 6, so that order flushes mid-file,
     shuffled with records of other orders, 0 and 1 among them."""
-    return list(_corpus_records(seed))
+    return list(_seeded_records(seed))
 
 
 @functools.lru_cache(maxsize=None)
-def _corpus_records(seed):
+def _seeded_records(seed):
     rng = random.Random(seed)
     orders = [6] * 4500 + [rng.choice([0, 1, 2, 3, 4, 5, 7, 8, 9, 12]) for _ in range(700)]
     rng.shuffle(orders)
