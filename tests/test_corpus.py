@@ -2,7 +2,7 @@
 they replaced.
 
 The bit-by-bit parser, the mask-to-Graph witness encoder and the
-Graph-at-a-time corpus driver live on here only as oracles.
+Graph-at-a-time corpus sweep live on here only as oracles.
 """
 
 import functools
@@ -113,7 +113,7 @@ def old_stream_corpus(path, on_error="raise"):
 
 
 def old_sweep(graphs, checks=S.ALL_CHECKS, tol=VIOLATION_TOL, witness_tol=TIGHT_TOL, dump_path=None):
-    """The Graph-at-a-time corpus driver: per-order Graph buffers, dense_batch
+    """The Graph-at-a-time corpus sweep: per-order Graph buffers, dense_batch
     at each flush, write_graph6 for each reported string."""
     checks = S._validate_checks(checks)
     reports, buffers, tables_cache = {}, {}, {}
@@ -216,7 +216,7 @@ def test_mask_graph6_equals_the_old_composition():
             assert encode(i) == write_graph6(graph_from_mask(n, pairs, mask)), (n, mask)
 
 
-# ─── the corpus driver against the old one ──────────────────────────────────
+# ─── the corpus sweep against the old one ───────────────────────────────────
 
 
 def _write(path, lines, end="\n"):
@@ -225,7 +225,7 @@ def _write(path, lines, end="\n"):
 
 def _run(capsys, monkeypatch, argv, dump, oracle):
     """(exit code, stdout, stderr, dump bytes) of a verify run through the
-    corpus driver, or through the old reader and driver if oracle."""
+    bulk corpus path, or through the old reader and sweep if oracle."""
     with monkeypatch.context() as mp:
         if oracle:
             mp.setattr(cli, "corpus_records", old_stream_corpus)
@@ -266,7 +266,7 @@ def _after_first_flush(records):
 
 
 @pytest.mark.parametrize("chunk", [S._CHUNK, 7])
-def test_corpus_sweep_equals_the_old_driver(chunk, capsys, monkeypatch, tmp_path):
+def test_corpus_sweep_equals_the_old_sweep(chunk, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(S, "_CHUNK", chunk)
     path = tmp_path / "corpus.g6"
     _write(path, _seeded_corpus(0x6F))
@@ -291,7 +291,7 @@ MIDFILE = {
 
 
 @pytest.mark.parametrize("kind", sorted(MIDFILE))
-def test_midfile_error_equals_the_old_driver(kind, capsys, monkeypatch, tmp_path):
+def test_midfile_error_equals_the_old_sweep(kind, capsys, monkeypatch, tmp_path):
     records = _seeded_corpus(0x70)
     cut = _after_first_flush(records) + 3
     records.insert(cut, MIDFILE[kind])
@@ -303,7 +303,7 @@ def test_midfile_error_equals_the_old_driver(kind, capsys, monkeypatch, tmp_path
     assert dump.count(b"\n") == 1 + 4096  # the header and the batch flushed before the error
 
 
-def test_skip_bad_equals_the_old_driver(capsys, monkeypatch, tmp_path):
+def test_skip_bad_equals_the_old_sweep(capsys, monkeypatch, tmp_path):
     records = _seeded_corpus(0x71)
     cut = _after_first_flush(records)
     for offset, bad in enumerate(MIDFILE.values()):
