@@ -23,7 +23,6 @@ from .spectra import (
     EnergyValues,
     SpectralError,
     Spectrum,
-    alpha_beta,
     eigenvalues,
     energy,
     energy_values,
@@ -34,8 +33,6 @@ from .bounds import (
     BoundReport,
     bound_report,
     classify_equality,
-    intermediate_bounds_even,
-    intermediate_bounds_odd,
     lemma1_check,
     lower_bound,
     scan_order_bound,
@@ -61,7 +58,6 @@ from .gf import (
     is_prime_power,
     is_square,
     make_field,
-    primitive_element,
     subfield_coset_partition,
 )
 from .constructions import (
@@ -79,7 +75,6 @@ from .sweep import (
     ALL_CHECKS,
     CheckTally,
     SweepReport,
-    enumerate_labeled_graphs,
     stream_corpus,
     sweep,
     sweep_labeled,

@@ -52,10 +52,13 @@ def _checked_sqrt(x, scale, what: str):
 
 
 def _validate_nm(n: int, m, parity: int) -> None:
+    """Raise unless n >= 2 has the given parity and every size m (a scalar or
+    an array) lies in 0..C(n,2)."""
     if n < 2 or n % 2 != parity:
         raise ValueError(f"n={n} must be {'even' if parity == 0 else 'odd'} and >= 2")
-    if m < 0 or m > n * (n - 1) // 2:
-        raise ValueError(f"m={m} out of range for n={n}")
+    for extreme in (np.min(m), np.max(m)) if isinstance(m, np.ndarray) else (m,):
+        if extreme < 0 or extreme > n * (n - 1) // 2:
+            raise ValueError(f"m={extreme} out of range for n={n}")
 
 
 def _upper_even_value(n: int, m: float, first: bool) -> float:
@@ -74,40 +77,55 @@ def _upper_odd_value(n: int, m: float, first: bool) -> float:
     return _checked_sqrt(rad, rad + 1.0, "odd second-regime bound") / n
 
 
-def upper_bound_even(n: int, m: int) -> Tuple[float, str]:
-    """Upper bound on HE for even n, with the regime tag that applied.
-
-    The regime threshold m <= n^3/(2(n+2)) is decided exactly on integers.
-    """
-    _validate_nm(n, m, 0)
-    first = 2 * m * (n + 2) <= n ** 3
-    return _upper_even_value(n, m, first), (REGIME_FIRST if first else REGIME_SECOND)
+def _last_first_m(n: int) -> int:
+    """The largest m of the first regime at order n >= 2, in exact integers:
+    m <= n^3/(2(n+2)) for even n, m <= n^2(n-3)^2/(2(n^2-4n+11)) for odd n."""
+    if n % 2 == 0:
+        return n ** 3 // (2 * (n + 2))
+    return n * n * (n - 3) ** 2 // (2 * (n * n - 4 * n + 11))
 
 
-def upper_bound_odd(n: int, m: int) -> Tuple[float, str]:
-    """Upper bound on HE for odd n, with the regime tag that applied.
+def _upper(n: int, m, parity: int):
+    """upper_bound at an order of the given parity.  An array m is evaluated
+    one regime at a time through the scalar formula code, so each value is
+    the scalar one bit for bit (see _branch_max)."""
+    _validate_nm(n, m, parity)
+    value = _upper_even_value if parity == 0 else _upper_odd_value
+    first = m <= _last_first_m(n)
+    if not isinstance(m, np.ndarray):
+        return value(n, m, first), (REGIME_FIRST if first else REGIME_SECOND)
+    vals, mf = np.empty(len(m)), m.astype(np.float64)
+    vals[first] = value(n, mf[first], True)
+    vals[~first] = value(n, mf[~first], False)
+    return vals, np.where(first, REGIME_FIRST, REGIME_SECOND)
 
-    The regime threshold m <= n^2(n-3)^2/(2(n^2-4n+11)) is decided exactly
-    on integers.
-    """
-    _validate_nm(n, m, 1)
-    first = 2 * m * (n * n - 4 * n + 11) <= n * n * (n - 3) ** 2
-    return _upper_odd_value(n, m, first), (REGIME_FIRST if first else REGIME_SECOND)
+
+def upper_bound_even(n: int, m) -> Tuple[float, str]:
+    """upper_bound for even n."""
+    return _upper(n, m, 0)
 
 
-def upper_bound(n: int, m: int) -> Tuple[float, str]:
-    """Parity dispatcher for the two-parameter upper bound."""
-    return upper_bound_even(n, m) if n % 2 == 0 else upper_bound_odd(n, m)
+def upper_bound_odd(n: int, m) -> Tuple[float, str]:
+    """upper_bound for odd n."""
+    return _upper(n, m, 1)
 
 
-def upper_bound_applies(n: int, m: int) -> bool:
-    """Whether the two-parameter bound is asserted for this (n, m).
+def upper_bound(n: int, m) -> Tuple[float, str]:
+    """Upper bound on HE at order n and size m, with the regime tag that
+    applied; the regime threshold (_last_first_m) is decided exactly on
+    integers.  For an integer array m, an array of bounds and one of tags."""
+    return _upper(n, m, n % 2)
+
+
+def upper_bound_applies(n: int, m) -> bool:
+    """Whether the two-parameter bound is asserted for this (n, m), or for
+    each size of an array m.
 
     The even-order bound holds for every graph; the odd-order one is only
     claimed for m >= n-1 (it genuinely fails below that, e.g. two disjoint
     edges plus an isolated vertex at n=5, m=2).
     """
-    return True if n % 2 == 0 else m >= n - 1
+    return (m >= n - 1) | (n % 2 == 0)
 
 
 def upper_bound_order_even(n: int) -> float:
@@ -147,8 +165,7 @@ def intermediate_bounds(n: int, m, alpha, beta=None):
     n=3 the 3-vertex path already slips below f1).  m, alpha and beta are
     scalars, or arrays of one batch (see _checked_sqrt).
     """
-    for extreme in (np.min(m), np.max(m)):
-        _validate_nm(n, extreme, n % 2)
+    _validate_nm(n, m, n % 2)
     if n % 2 == 0:
         beta = 0.0
     if not isinstance(alpha, np.ndarray) and alpha + beta * beta > 2.0 * m + DUST_TOL * max(1.0, 2.0 * m):
@@ -178,20 +195,6 @@ def intermediate_steep(n: int, m, alpha, beta=None):
     (x1, s1), (x2, s2) = _intermediate_radicands(n, m, alpha, beta)
     near = lambda x, s: x <= TIGHT_TOL * np.maximum(1.0, s)
     return ((n >= 4) & near(x1, s1)) | near(x2, s2)
-
-
-def intermediate_bounds_even(n: int, m, alpha):
-    """intermediate_bounds for even n."""
-    if n % 2:
-        raise ValueError(f"n={n} must be even and >= 2")
-    return intermediate_bounds(n, m, alpha)
-
-
-def intermediate_bounds_odd(n: int, m, alpha, beta):
-    """intermediate_bounds for odd n >= 3."""
-    if n % 2 == 0:
-        raise ValueError(f"n={n} must be odd and >= 2")
-    return intermediate_bounds(n, m, alpha, beta)
 
 
 def violated(slack, bound, tol: float = VIOLATION_TOL, strict: bool = False):
@@ -271,34 +274,35 @@ class BoundReport:
     has_isolated: bool
 
 
+def _bound_fields(n: int, m, he, alpha, beta, isolated, tol: float = VIOLATION_TOL) -> dict:
+    """The fields of a BoundReport other than n, m, energies and has_isolated,
+    for graphs of order n and size m with half-spectrum (he, alpha, beta) and
+    isolated vertices where isolated: scalars, or arrays of one batch.  A
+    bound that does not exist at order n is None and does not apply; lemma1
+    is decided at tolerance tol."""
+    fields = dict.fromkeys(("upper_nm", "upper_nm_regime", "upper_n", "lower", "inter_f1", "inter_f2",
+                            "slack_upper", "slack_lower"))
+    fields.update(upper_nm_applies=False, lower_applies=False, lemma1=lemma1_check(n, m, alpha, tol))
+    if n >= 1:
+        fields["upper_n"] = upper_bound_order(n)
+    if n >= 2:
+        upper_nm, regime = upper_bound(n, m)
+        lower = lower_bound(n)
+        fields["inter_f1"], fields["inter_f2"] = intermediate_bounds(n, m, alpha, beta)
+        fields.update(
+            upper_nm=upper_nm, upper_nm_regime=regime, upper_nm_applies=upper_bound_applies(n, m),
+            lower=lower, lower_applies=~isolated if isinstance(isolated, np.ndarray) else not isolated,
+            slack_upper=upper_nm - he, slack_lower=he - lower,
+        )
+    return fields
+
+
 def bound_report(g: Graph, spectrum: Optional[Spectrum] = None) -> BoundReport:
     """Evaluate every bound against one graph's spectrum."""
     st = stats(g)
-    n, m = g.n, st.m
-    s = spectrum if spectrum is not None else eigenvalues(g)
-    ev = energy_values(s)
-    upper_nm, regime = upper_bound(n, m) if n >= 2 else (None, None)
-    f1, f2 = intermediate_bounds(n, m, ev.alpha, ev.beta) if n >= 2 else (None, None)
-    upper_n = upper_bound_order(n) if n >= 1 else None
-    lower = lower_bound(n) if n >= 2 else None
-    lower_applies = n >= 2 and not st.has_isolated
-    return BoundReport(
-        n=n,
-        m=m,
-        energies=ev,
-        upper_nm=upper_nm,
-        upper_nm_regime=regime,
-        upper_nm_applies=n >= 2 and upper_bound_applies(n, m),
-        upper_n=upper_n,
-        lower=lower,
-        lower_applies=lower_applies,
-        inter_f1=f1,
-        inter_f2=f2,
-        lemma1=lemma1_check(n, m, ev.alpha),
-        slack_upper=None if upper_nm is None else upper_nm - ev.huckel,
-        slack_lower=None if lower is None else ev.huckel - lower,
-        has_isolated=st.has_isolated,
-    )
+    ev = energy_values(spectrum if spectrum is not None else eigenvalues(g))
+    return BoundReport(n=g.n, m=st.m, energies=ev, has_isolated=st.has_isolated,
+                       **_bound_fields(g.n, st.m, ev.huckel, ev.alpha, ev.beta, st.has_isolated))
 
 
 def classify_equality(report: BoundReport, tol: float = TIGHT_TOL) -> Set[str]:
@@ -344,8 +348,7 @@ def scan_order_bound(n: int) -> dict:
         raise ValueError(f"n={n} must be >= 2")
     even = n % 2 == 0
     top = n * (n - 1) // 2 + 1
-    # The last first-regime m, by the integer test of upper_bound_even/_odd.
-    thr = n ** 3 // (2 * (n + 2)) if even else n * n * (n - 3) ** 2 // (2 * (n * n - 4 * n + 11))
+    thr = _last_first_m(n)
     best_val_first, best_m_first = _branch_max(n, True, 0, min(thr + 1, top))
     best_val, best_m = _branch_max(n, False, min(thr + 1, top), top)
     if best_val <= best_val_first:  # a tie goes to the smaller, first-regime m

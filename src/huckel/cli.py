@@ -113,7 +113,6 @@ def _cmd_analyze(args) -> int:
         release = fh.detach
     else:  # a stdin with no byte buffer underneath is read as it is
         fh, release = sys.stdin, None
-    status = EXIT_OK
     try:
         for ln, record in graph6_records(fh):
             try:
@@ -128,7 +127,7 @@ def _cmd_analyze(args) -> int:
     finally:
         if release is not None:
             release()
-    return status
+    return EXIT_OK
 
 
 def _spectrum_match(spec, params) -> dict:

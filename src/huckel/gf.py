@@ -268,10 +268,6 @@ def make_field(p: int, e: int) -> FiniteField:
     return FiniteField(p, e)
 
 
-def primitive_element(f: FiniteField) -> int:
-    return f.primitive_element()
-
-
 def is_square(f: FiniteField, x: int) -> bool:
     return f.is_square(x)
 

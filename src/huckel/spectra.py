@@ -120,13 +120,6 @@ def huckel_energy(s) -> float:
     return float(half_spectrum(s)[0])
 
 
-def alpha_beta(s) -> Tuple[float, Optional[float]]:
-    """Sum of squares of the top floor(n/2) eigenvalues, and for odd n the
-    (floor(n/2)+1)-th eigenvalue."""
-    _, alpha, beta = half_spectrum(s)
-    return float(alpha), None if beta is None else float(beta)
-
-
 def energy_values(s: Spectrum) -> EnergyValues:
     he, alpha, beta = half_spectrum(s)
     return EnergyValues(

@@ -23,9 +23,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .bounds import (
+    _bound_fields,
     intermediate_bounds,
     intermediate_steep,
-    lemma1_check,
     lemma1_terms,
     lemma1_theorem_domain,
     lower_bound,
@@ -161,19 +161,6 @@ def _validate_checks(checks: Sequence[str]) -> Tuple[str, ...]:
 # ─── enumeration and corpora ────────────────────────────────────────────────
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled graphs on n vertices, in edge-bitmask counter
-    order (bit k of the mask is pair k in graph6 column order)."""
-    if not (1 <= n <= ENUM_MAX_N):
-        raise ValueError(
-            f"exhaustive enumeration is supported for 1 <= n <= {ENUM_MAX_N} "
-            f"(n={n} would mean 2^{n * (n - 1) // 2} graphs); use a corpus instead"
-        )
-    pairs = pair_order(n)
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
-
-
 def _mask_of(pairs: List[Tuple[int, int]], g6: str) -> int:
     rows = parse_graph6(g6).rows
     return sum(1 << k for k, (i, j) in enumerate(pairs) if rows[i] >> j & 1)
@@ -209,23 +196,6 @@ def stream_corpus(path: str, on_error: str = "raise") -> Iterator[Graph]:
     return (parse_graph6(g6) for _, _, g6 in corpus_records(path, on_error))
 
 
-# ─── per-order bound tables ─────────────────────────────────────────────────
-
-
-def _bound_tables(n: int):
-    if n < 2:
-        return None
-    max_m = n * (n - 1) // 2
-    vals = np.empty(max_m + 1)
-    regimes: List[str] = []
-    applies = np.empty(max_m + 1, dtype=bool)
-    for m in range(max_m + 1):
-        vals[m], regime = upper_bound(n, m)
-        regimes.append(regime)
-        applies[m] = upper_bound_applies(n, m)
-    return vals, regimes, applies
-
-
 # ─── the check table ────────────────────────────────────────────────────────
 
 
@@ -235,13 +205,13 @@ class _Batch:
     Connectivity is computed only when a check asks for it, and only on the
     rows it names."""
 
-    def __init__(self, n: int, a: np.ndarray, m: np.ndarray, w: np.ndarray, tables):
-        self.n, self.a, self.m, self.w, self.tables = n, a, m, w, tables
+    def __init__(self, n: int, a: np.ndarray, m: np.ndarray, w: np.ndarray):
+        self.n, self.a, self.m, self.w = n, a, m, w
         self.he, self.alpha, self.beta = half_spectrum(w)
         self.isolated = (a.sum(axis=2) == 0.0).any(axis=1)
-        self.f1, self.f2 = intermediate_bounds(n, m, self.alpha, self.beta) if n >= 2 else (None, None)
-        if tables is not None:
-            self.upper_nm, self.upper_nm_applies = tables[0][m], tables[2][m]
+        if n >= 2:
+            self.f1, self.f2 = intermediate_bounds(n, m, self.alpha, self.beta)
+            self.upper_nm, self.upper_nm_applies = upper_bound(n, m)[0], upper_bound_applies(n, m)
 
     def connected(self, rows: np.ndarray) -> np.ndarray:
         """Connectivity of the graphs in the rows selected by the boolean
@@ -310,31 +280,29 @@ def _dump_writer(path: Optional[str]):
         yield writer
 
 
-def _dump_rows(b: _Batch, tol: float, g6_of) -> List[list]:
-    """Per-graph CSV rows.  The lemma1 column evaluates the inequality on its
-    stated domain (lemma1_check), wider than the domain the sweep asserts."""
-    n, g = b.n, "{:.12g}".format
-    en = energy(b.w)
-    lemma1 = lemma1_check(n, b.m, b.alpha, tol=tol)
-    un = upper_bound_order(n) if n >= 1 else None
-    lb = lower_bound(n) if n >= 2 else None
-    rows = []
-    for idx in range(len(b.m)):
-        m, he = int(b.m[idx]), b.he[idx]
-        row = [g6_of(idx), n, m, g(he), g(en[idx]), g(b.alpha[idx]), g(b.beta[idx]) if n % 2 else ""]
-        if n >= 2:
-            nm = b.upper_nm[idx]
-            row += [g(nm), b.tables[1][m], int(bool(b.upper_nm_applies[idx])), g(nm - he)]
-        else:
-            row += [""] * 4
-        row += [g(un), g(un - he)] if un is not None else [""] * 2
-        if lb is not None:
-            row += [g(lb), int(not b.isolated[idx]), g(he - lb), g(b.f1[idx]), g(b.f2[idx])]
-        else:
-            row += [""] * 5
-        row.append(lemma1[idx])
-        rows.append(row)
-    return rows
+def _dump_rows(b: _Batch, tol: float, g6_of) -> Iterator[tuple]:
+    """Per-graph CSV rows, formatted column by column from the bound fields
+    of bounds._bound_fields.  The lemma1 column evaluates the inequality on
+    its stated domain (lemma1_check), wider than the domain the sweep asserts."""
+    n, rows = b.n, len(b.m)
+    f = _bound_fields(n, b.m, b.he, b.alpha, b.beta, b.isolated, tol)
+
+    def col(x, fmt="{:.12g}".format):
+        """x formatted row by row, a scalar repeated, or blanks if x is None."""
+        if x is None:
+            return [""] * rows
+        return [fmt(x)] * rows if np.ndim(x) == 0 else list(map(fmt, x.tolist()))
+
+    def flag(x):
+        return col(x.astype(np.int64) if n >= 2 else None, str)
+
+    slack_n = None if f["upper_n"] is None else f["upper_n"] - b.he
+    return zip(
+        list(map(g6_of, range(rows))), [n] * rows, b.m.tolist(), col(b.he), col(energy(b.w)), col(b.alpha),
+        col(b.beta), col(f["upper_nm"]), col(f["upper_nm_regime"], str), flag(f["upper_nm_applies"]),
+        col(f["slack_upper"]), col(f["upper_n"]), col(slack_n), col(f["lower"]), flag(f["lower_applies"]),
+        col(f["slack_lower"]), col(f["inter_f1"]), col(f["inter_f2"]), f["lemma1"],
+    )
 
 
 # ─── the kernel ─────────────────────────────────────────────────────────────
@@ -427,7 +395,6 @@ def _process_batch(
     checks: Tuple[str, ...],
     tol: float,
     witness_tol: float,
-    tables,
     rep: SweepReport,
     g6_of,
     dump=None,
@@ -435,7 +402,7 @@ def _process_batch(
     rep.graph_count += len(m_arr)
     w, ok = _eigensolve(a, m_arr)
     rep.solver_failures.extend(g6_of(int(idx)) for idx in np.nonzero(~ok)[0])
-    b = _Batch(n, a, m_arr, w, tables)
+    b = _Batch(n, a, m_arr, w)
     for name, (applicable, viol, slack, _) in zip(checks, _verdicts(b, ok, checks, tol)):
         _record(rep, name, applicable, viol, slack, witness_tol, g6_of)
     if dump is not None:
@@ -541,10 +508,9 @@ def _process_classes(
     order.  Every other class is added once, weighted by its orbit size.
     """
     rep = SweepReport.for_checks(n, checks)
-    tables = _bound_tables(n)
     a, m_arr = _mask_batch(n, reps)
     w, ok = _eigensolve(a, m_arr)
-    b = _Batch(n, a, m_arr, w, tables)
+    b = _Batch(n, a, m_arr, w)
     verdicts = _verdicts(b, ok, checks, tol)
     expand = ~ok | expand_all
     for name, (applicable, viol, slack, bound) in zip(checks, verdicts):
@@ -558,7 +524,7 @@ def _process_classes(
     for lo in range(0, len(masks), _BATCH):
         chunk = masks[lo:lo + _BATCH]
         a, m_arr = _mask_batch(n, chunk)
-        _process_batch(n, a, m_arr, checks, tol, witness_tol, tables, rep, _mask_graph6(n, chunk), dump)
+        _process_batch(n, a, m_arr, checks, tol, witness_tol, rep, _mask_graph6(n, chunk), dump)
     return rep
 
 
@@ -647,18 +613,14 @@ def sweep(
     checks = _validate_checks(checks)
     reports: Dict[int, SweepReport] = {}
     buffers: Dict[int, Tuple[List[np.ndarray], List[str]]] = {}
-    tables_cache: Dict[int, object] = {}
 
     def flush(n: int) -> None:
         bits, g6 = buffers.pop(n)
         if n not in reports:
             reports[n] = SweepReport.for_checks(n, checks)
-            tables_cache[n] = _bound_tables(n)
         bits = np.array(bits)
-        _process_batch(
-            n, pair_batch(n, bits), bits.sum(axis=1, dtype=np.int64), checks, tol, witness_tol,
-            tables_cache[n], reports[n], g6.__getitem__, dump,
-        )
+        _process_batch(n, pair_batch(n, bits), bits.sum(axis=1, dtype=np.int64), checks, tol, witness_tol,
+                       reports[n], g6.__getitem__, dump)
 
     with _dump_writer(dump_path) as dump:
         for item in graphs:

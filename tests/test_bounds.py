@@ -10,13 +10,12 @@ import pytest
 from conftest import random_graph
 from huckel.graphs import Graph, add_isolated_vertex, disjoint_union
 from huckel.bounds import (
+    _last_first_m,
     _upper_even_value,
     _upper_odd_value,
     bound_report,
     classify_equality,
     intermediate_bounds,
-    intermediate_bounds_even,
-    intermediate_bounds_odd,
     lemma1_check,
     lemma1_stated_domain,
     lemma1_theorem_domain,
@@ -93,6 +92,37 @@ def test_upper_bound_validation():
         upper_bound_even(0, 0)
 
 
+def _first_by_integer_test(n, m):
+    """The per-m regime test of the scalar bound: m <= n^3/(2(n+2)) for even
+    n, m <= n^2(n-3)^2/(2(n^2-4n+11)) for odd n, decided on integers."""
+    if n % 2 == 0:
+        return 2 * m * (n + 2) <= n ** 3
+    return 2 * m * (n * n - 4 * n + 11) <= n * n * (n - 3) ** 2
+
+
+def test_last_first_m_is_the_last_m_of_the_per_m_test():
+    for n in range(2, 200):
+        first = [m for m in range(n * (n - 1) // 2 + 1) if _first_by_integer_test(n, m)]
+        assert first == list(range(len(first))), n  # the first regime is a prefix
+        assert _last_first_m(n) == first[-1], n
+    for n in list(range(200, 3000)) + [10 ** 6, 10 ** 6 + 1]:
+        thr = _last_first_m(n)
+        assert _first_by_integer_test(n, thr) and not _first_by_integer_test(n, thr + 1), n
+
+
+def test_upper_bound_array_form_equals_scalar():
+    # No tolerance: the same float, regime and applies at every m.
+    for n in range(2, 200):
+        m = np.arange(n * (n - 1) // 2 + 1)
+        values, regimes = upper_bound(n, m)
+        scalar = [upper_bound(n, k) for k in m.tolist()]
+        assert values.tolist() == [value for value, _ in scalar], n
+        assert regimes.tolist() == [regime for _, regime in scalar], n
+        assert upper_bound_applies(n, m).tolist() == [upper_bound_applies(n, k) for k in m.tolist()], n
+    with pytest.raises(ValueError, match="out of range"):
+        upper_bound(5, np.array([0, 11]))
+
+
 def test_upper_bound_applies():
     assert upper_bound_applies(6, 0)
     assert upper_bound_applies(5, 4)
@@ -135,21 +165,21 @@ def test_lower_bound_star_equality():
 
 
 def test_intermediate_bounds_even():
-    assert intermediate_bounds_even(4, 4, 4.0) == pytest.approx((4.0, 5.656854249492381))
-    assert intermediate_bounds_even(10, 30, 40.0) == pytest.approx((20.0, 20.0))
+    assert intermediate_bounds(4, 4, 4.0) == pytest.approx((4.0, 5.656854249492381))
+    assert intermediate_bounds(10, 30, 40.0) == pytest.approx((20.0, 20.0))
     with pytest.raises(ValueError):
-        intermediate_bounds_even(4, 2, 5.0)  # alpha over 2m
+        intermediate_bounds(4, 2, 5.0)  # alpha over 2m
 
 
 def test_intermediate_bounds_odd():
     c5 = energy_values(eigenvalues(Graph.cycle(5)))
-    f1, f2 = intermediate_bounds_odd(5, 5, c5.alpha, c5.beta)
+    f1, f2 = intermediate_bounds(5, 5, c5.alpha, c5.beta)
     # Both refinements are tight on the 5-cycle.
     assert f1 == pytest.approx(c5.huckel, abs=1e-9)
     assert f2 == pytest.approx(c5.huckel, abs=1e-9)
-    assert intermediate_bounds_odd(5, 4, 4.0, 0.0) == pytest.approx((5.6, 5.656854249492381))
+    assert intermediate_bounds(5, 4, 4.0, 0.0) == pytest.approx((5.6, 5.656854249492381))
     with pytest.raises(ValueError):
-        intermediate_bounds_odd(5, 2, 4.0, 1.0)  # alpha + beta^2 over 2m
+        intermediate_bounds(5, 2, 4.0, 1.0)  # alpha + beta^2 over 2m
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9])
@@ -206,10 +236,7 @@ def test_intermediate_bounds_dominate_random(seed):
         if g.m < n - 1:
             continue
         ev = energy_values(eigenvalues(g))
-        if n % 2 == 0:
-            f1, f2 = intermediate_bounds_even(n, g.m, ev.alpha)
-        else:
-            f1, f2 = intermediate_bounds_odd(n, g.m, ev.alpha, ev.beta)
+        f1, f2 = intermediate_bounds(n, g.m, ev.alpha, ev.beta)
         assert ev.huckel <= min(f1, f2) + 1e-8 * max(1.0, min(f1, f2))
         done += 1
 

@@ -116,16 +116,15 @@ def old_sweep(graphs, checks=S.ALL_CHECKS, tol=VIOLATION_TOL, witness_tol=TIGHT_
     """The Graph-at-a-time corpus sweep: per-order Graph buffers, dense_batch
     at each flush, write_graph6 for each reported string."""
     checks = S._validate_checks(checks)
-    reports, buffers, tables_cache = {}, {}, {}
+    reports, buffers = {}, {}
 
     def flush(n):
         buf = buffers.pop(n)
         if n not in reports:
             reports[n] = S.SweepReport.for_checks(n, checks)
-            tables_cache[n] = S._bound_tables(n)
         a = dense_batch(buf, n)
         m_arr = (a.sum(axis=(1, 2)) / 2).astype(np.int64)
-        S._process_batch(n, a, m_arr, checks, tol, witness_tol, tables_cache[n], reports[n],
+        S._process_batch(n, a, m_arr, checks, tol, witness_tol, reports[n],
                          lambda i: write_graph6(buf[i]), dump)
 
     with S._dump_writer(dump_path) as dump:

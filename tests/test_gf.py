@@ -9,7 +9,6 @@ from huckel.gf import (
     is_prime_power,
     is_square,
     make_field,
-    primitive_element,
     subfield_coset_partition,
 )
 
@@ -47,7 +46,7 @@ def test_deterministic_moduli():
 def test_deterministic_primitive_elements():
     assert make_field(5, 1).primitive_element() == 2
     f9 = make_field(3, 2)
-    assert primitive_element(f9) == 4
+    assert f9.primitive_element() == 4
     assert f9.coeffs(4) == (1, 1)  # x + 1 generates GF(9)*
 
 

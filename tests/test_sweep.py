@@ -10,35 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from huckel.bounds import upper_bound_order
-from huckel.graphs import Graph, parse_graph6, write_graph6
-from huckel.spectra import DUST_TOL, TIGHT_TOL
+from huckel.bounds import lemma1_check, lower_bound, upper_bound, upper_bound_applies, upper_bound_order
+from huckel.graphs import Graph, add_isolated_vertex, mask_graph6, parse_graph6
+from huckel.spectra import DUST_TOL, TIGHT_TOL, energy
 from huckel.sweep import (
     ALL_CHECKS,
     CHECKS,
     SweepReport,
     _batch_connected,
+    _mask_batch,
     default_jobs,
-    enumerate_labeled_graphs,
     stream_corpus,
     sweep,
     sweep_labeled,
 )
-
-
-def test_enumeration_counts_and_order():
-    graphs = list(enumerate_labeled_graphs(4))
-    assert len(graphs) == 64
-    assert write_graph6(graphs[0]) == "C?"  # empty graph first
-    assert write_graph6(graphs[-1]) == "C~"  # complete graph last
-    assert len(set(graphs)) == 64
-    # Mask bit k toggles pair k in graph6 column order: bit 0 is (0,1).
-    assert list(graphs[1].edges()) == [(0, 1)]
-    assert len(list(enumerate_labeled_graphs(1))) == 1
-    with pytest.raises(ValueError, match="corpus instead"):
-        list(enumerate_labeled_graphs(8))
-    with pytest.raises(ValueError):
-        list(enumerate_labeled_graphs(0))
 
 
 def check_tally_arithmetic(rep):
@@ -131,12 +116,9 @@ def test_parallel_matches_serial():
 
 
 def test_batch_connected_matches_flood_fill():
-    graphs = list(enumerate_labeled_graphs(5))
-    a = np.zeros((len(graphs), 5, 5))
-    for i, g in enumerate(graphs):
-        a[i] = g.dense()
-    got = _batch_connected(a)
-    expected = np.array([g.is_connected() for g in graphs])
+    masks = np.arange(1 << 10)
+    got = _batch_connected(_mask_batch(5, masks)[0])
+    expected = np.array([parse_graph6(mask_graph6(5, int(mask))).is_connected() for mask in masks])
     assert (got == expected).all()
     assert int(got.sum()) == 728  # connected labeled graphs on 5 vertices
 
@@ -183,6 +165,73 @@ def test_dump_requires_serial():
         sweep_labeled(3, jobs=2, dump_path="/tmp/never-written.csv")
 
 
+def _bound_table_by_loop(n):
+    """The per-order table the dump read before it was built from array
+    bounds: value, regime and applies of the scalar bound at every m."""
+    vals, regimes, applies = [], [], []
+    for m in range(n * (n - 1) // 2 + 1):
+        value, regime = upper_bound(n, m)
+        vals.append(value)
+        regimes.append(regime)
+        applies.append(upper_bound_applies(n, m))
+    return vals, regimes, applies
+
+
+def _dump_rows_by_loop(b, tol, g6_of):
+    """The per-row CSV writer the column-wise one replaced, reading the
+    scalar bound table: the oracle of the --dump bytes."""
+    n, g = b.n, "{:.12g}".format
+    en = energy(b.w)
+    lemma1 = lemma1_check(n, b.m, b.alpha, tol=tol)
+    un = upper_bound_order(n) if n >= 1 else None
+    lb = lower_bound(n) if n >= 2 else None
+    table = _bound_table_by_loop(n) if n >= 2 else None
+    rows = []
+    for idx in range(len(b.m)):
+        m, he = int(b.m[idx]), b.he[idx]
+        row = [g6_of(idx), n, m, g(he), g(en[idx]), g(b.alpha[idx]), g(b.beta[idx]) if n % 2 else ""]
+        if n >= 2:
+            nm = table[0][m]
+            row += [g(nm), table[1][m], int(bool(table[2][m])), g(nm - he)]
+        else:
+            row += [""] * 4
+        row += [g(un), g(un - he)] if un is not None else [""] * 2
+        if lb is not None:
+            row += [g(lb), int(not b.isolated[idx]), g(he - lb), g(b.f1[idx]), g(b.f2[idx])]
+        else:
+            row += [""] * 5
+        row.append(lemma1[idx])
+        rows.append(row)
+    return rows
+
+
+def _dumps(run, tmp_path, monkeypatch):
+    """The --dump bytes of run(path) with the column-wise writer and with the
+    per-row oracle."""
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    run(str(new))
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep_module, "_dump_rows", _dump_rows_by_loop)
+        run(str(old))
+    return new.read_bytes(), old.read_bytes()
+
+
+@pytest.mark.parametrize("n,tol", [(1, 1e-8), (2, 1e-8), (3, 0.0), (6, 1e-8)])
+def test_dump_columns_match_the_per_row_writer(n, tol, tmp_path, monkeypatch):
+    new, old = _dumps(lambda path: sweep_labeled(n, tol=tol, dump_path=path), tmp_path, monkeypatch)
+    assert new.count(b"\n") == (1 << (n * (n - 1) // 2)) + 1
+    assert new == old
+
+
+def test_corpus_dump_columns_match_the_per_row_writer(tmp_path, monkeypatch):
+    # Orders 0 and 1 leave the bound columns blank.
+    graphs = [Graph.empty(0), Graph.empty(1), Graph.complete(2), Graph.empty(2), Graph.path(3),
+              Graph.star(5), Graph.cycle(5), add_isolated_vertex(Graph.complete(4)), Graph.complete(6)]
+    new, old = _dumps(lambda path: sweep(graphs, dump_path=path), tmp_path, monkeypatch)
+    assert new.count(b"\n") == len(graphs) + 1
+    assert new == old
+
+
 def test_stream_corpus(tmp_path):
     path = tmp_path / "corpus.g6"
     path.write_text("Bw\n\nC~\n  Dhc  \n")
@@ -200,7 +249,7 @@ def test_stream_corpus(tmp_path):
 
 
 def test_sweep_stream_matches_exhaustive():
-    reports = sweep(enumerate_labeled_graphs(4))
+    reports = sweep(parse_graph6(mask_graph6(4, mask)) for mask in range(1 << 6))
     assert len(reports) == 1
     assert reports[0].to_dict() == sweep_labeled(4).to_dict()
 
@@ -336,7 +385,7 @@ def _copies(n, masks):
     s = sweep_module
     a, m = s._mask_batch(n, masks)
     w, ok = s._eigensolve(a, m)
-    b = s._Batch(n, a, m, w, s._bound_tables(n))
+    b = s._Batch(n, a, m, w)
     return b, dict(zip(ALL_CHECKS, s._verdicts(b, ok, ALL_CHECKS, 1e-8)))
 
 
