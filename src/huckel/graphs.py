@@ -10,6 +10,8 @@ import numpy as np
 # graph6 size limits: short form covers n <= 62, long form n <= 258047.
 _SHORT_MAX = 62
 _LONG_MAX = 258047
+# Orders a reader accepts: a dense float64 adjacency of order 8192 is 512 MB.
+_ORDER_MAX = 8192
 
 
 class Graph6Error(ValueError):
@@ -333,6 +335,9 @@ def parse_graph6(text: str) -> Graph:
         if len(record) < 4:
             raise Graph6Error("truncated long-form size header")
         n = ((ord(record[1]) - 63) << 12) | ((ord(record[2]) - 63) << 6) | (ord(record[3]) - 63)
+        if n > _ORDER_MAX:
+            raise Graph6Error(f"n={n} exceeds the order limit {_ORDER_MAX} "
+                              f"(an n x n float64 adjacency is {8 * n * n >> 20:,} MB)")
         body_start = 4
     else:
         n = ord(record[0]) - 63

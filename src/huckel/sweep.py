@@ -1,12 +1,12 @@
 """Exhaustive and corpus-driven verification sweeps.
 
 Graphs are eigensolved in batches by a symmetric solver and every enabled
-check is evaluated vectorized per batch.  An exhaustive sweep eigensolves one
-graph per isomorphism class and counts it with its orbit size, evaluating
+check is evaluated vectorized per batch.  An exhaustive sweep on n vertices
+eigensolves each class representative of order n-1 once per neighbour set of
+a new vertex, counted with the representative's orbit size, and evaluates
 labeled copies only of the classes near a decision point.  Reports are
-per-order and merge as a commutative monoid, so a sweep partitioned over
-parts of the class list (serial or multiprocess) reduces to the identical
-report.
+per-order and merge as a commutative monoid, so a sweep split into parts
+(serial or multiprocess) reduces to the identical report.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -38,7 +38,8 @@ from .graphs import (Graph, Graph6Error, decode_graph6_batch, graph6_records, ma
                      pair_order, parse_graph6, write_graph6)
 from .spectra import DUST_TOL, TIGHT_TOL, VIOLATION_TOL, energy, half_spectrum, invariants_hold
 
-ENUM_MAX_N = 7
+ENUM_MAX_N = 8
+_DUMP_MAX_N = 7  # a dump writes one CSV row per labeled graph
 HIST_RESOLUTION = 1e-3
 _HIST_BINS = 512  # slack histogram covers [0, 0.512); larger slacks overflow
 _WITNESS_CAP = 1000
@@ -159,11 +160,6 @@ def _validate_checks(checks: Sequence[str]) -> Tuple[str, ...]:
 
 
 # ─── enumeration and corpora ────────────────────────────────────────────────
-
-
-def _mask_of(pairs: List[Tuple[int, int]], g6: str) -> int:
-    rows = parse_graph6(g6).rows
-    return sum(1 << k for k, (i, j) in enumerate(pairs) if rows[i] >> j & 1)
 
 
 def corpus_records(path: str, on_error: str = "raise") -> Iterator[Tuple[int, np.ndarray, str]]:
@@ -436,6 +432,8 @@ def _orbit(n: int, mask: int) -> np.ndarray:
 def _classes(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """One representative per isomorphism class of graphs on n vertices, the
     smallest edge mask of its class, ascending, and the class's orbit size.
+    This is the base case of sweep_labeled, which augments the classes of
+    order n-1 by one vertex, so the scan runs over 2^C(n-1,2) masks.
 
     Masks are scanned in ascending order; the first one not seen yet starts a
     new class, and its whole orbit is marked seen.
@@ -455,21 +453,19 @@ def _classes(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _near_decision(check: Check, b: _Batch, applicable, slack, bound, tol: float, witness_tol: float):
     """Applicable rows of b whose slack on check lies within DUST_TOL of a
-    point where a verdict, the witness test, the histogram bin or the check's
-    smallest slack could change: the violation threshold
-    -tol*max(1, |bound|), the band |slack| <= max(witness_tol, 0) (which
-    holds 0, the strict rows' threshold), a bin edge k*HIST_RESOLUTION below
-    the overflow bin, and the smallest slack among the rows; and the rows the
-    check calls steep.  Elsewhere the slacks of a graph's labeled copies
-    differ from its own by eigensolver rounding, far below DUST_TOL, so the
-    graph stands for every copy."""
-    if not applicable.any():
-        return applicable
+    point where a verdict, the witness test or the histogram bin could change:
+    the violation threshold -tol*max(1, |bound|), the band
+    |slack| <= max(witness_tol, 0) (which holds 0, the strict rows'
+    threshold) and a bin edge k*HIST_RESOLUTION below the overflow bin; and
+    the rows the check calls steep.  Elsewhere the slacks of a graph's
+    labeled copies differ from its own by eigensolver rounding, far below
+    DUST_TOL, so the graph stands for every copy.  The check's smallest slack
+    is the one more such point; it needs every row of the sweep, so
+    _process_classes applies it."""
     near = np.abs(slack + tol * np.maximum(1.0, np.abs(bound))) <= DUST_TOL
     near |= np.abs(slack) <= max(witness_tol, 0.0) + DUST_TOL
     edge = np.rint(slack / HIST_RESOLUTION)
     near |= (edge >= 1) & (edge <= _HIST_BINS) & (np.abs(slack - edge * HIST_RESOLUTION) <= DUST_TOL)
-    near |= slack <= slack[applicable].min() + DUST_TOL
     if check.steep is not None:
         near |= check.steep(b)
     return near & applicable
@@ -488,49 +484,94 @@ def _mask_graph6(n: int, masks: np.ndarray):
     return lambda i: mask_graph6(n, int(masks[i]))
 
 
+def _pieces(masks: np.ndarray, parts: int) -> List[np.ndarray]:
+    """masks cut in order into at least parts pieces of at most _BATCH rows."""
+    return [p for p in np.array_split(masks, max(parts, -(-len(masks) // _BATCH))) if len(p)]
+
+
+def _flag_piece(args):
+    """Pass 1 on one piece of masks: the rows to expand by every rule but the
+    smallest slack, and each check's (applicable, violated, slack) rows."""
+    n, masks, checks, tol, witness_tol = args
+    a, m_arr = _mask_batch(n, masks)
+    w, ok = _eigensolve(a, m_arr)
+    b = _Batch(n, a, m_arr, w)
+    verdicts = _verdicts(b, ok, checks, tol)
+    flag = ~ok
+    for name, (applicable, viol, slack, bound) in zip(checks, verdicts):
+        flag |= viol | _near_decision(CHECKS[name], b, applicable, slack, bound, tol, witness_tol)
+    return flag, [v[:3] for v in verdicts]
+
+
+def _sweep_piece(args) -> SweepReport:
+    """Pass 2 on one piece of masks: the report of those labeled graphs."""
+    n, masks, checks, tol, witness_tol, dump = args
+    rep = SweepReport.for_checks(n, checks)
+    a, m_arr = _mask_batch(n, masks)
+    _process_batch(n, a, m_arr, checks, tol, witness_tol, rep, _mask_graph6(n, masks), dump)
+    return rep
+
+
+def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The edge masks of the pairs (H, S) on n >= 1 vertices, H a class
+    representative of order n-1 and S the neighbour set of vertex n-1 in the
+    last n-1 mask bits, and their weights, the orbit size of H."""
+    reps, sizes = _classes(n - 1)
+    span = 1 << (n - 1)
+    masks = reps[:, None] | np.arange(span, dtype=np.int64) << ((n - 1) * (n - 2) // 2)
+    return masks.ravel(), np.repeat(sizes, span)
+
+
 def _process_classes(
     n: int,
-    reps: np.ndarray,
-    sizes: np.ndarray,
+    masks: np.ndarray,
+    weights: np.ndarray,
     checks: Tuple[str, ...],
     tol: float,
     witness_tol: float,
     expand_all: bool = False,
     dump=None,
+    jobs: int = 1,
 ) -> SweepReport:
-    """Sweep every labeled graph of the classes with representatives reps and
-    orbit sizes sizes.
+    """Sweep the labeled graphs on n vertices that masks stand for, mask i
+    counted weights[i] times: the classes of order n with their orbit sizes,
+    or sweep_labeled's augmentation pairs.
 
-    The representatives are eigensolved as one batch.  A class is evaluated
-    copy by copy if expand_all, or if its representative was flagged by the
-    solver, violates a check or lies near a decision point (_near_decision);
-    all such copies go through _process_batch together in ascending mask
-    order.  Every other class is added once, weighted by its orbit size.
+    Pass 1 eigensolves the masks piece by piece and keeps only each check's
+    row verdicts.  A mask is flagged if the solver flagged it, it violates a
+    check or lies near a decision point (_near_decision, or within DUST_TOL
+    of the check's smallest slack over all masks).  The class of each
+    flagged mask is expanded once into its labeled copies, and pass 2
+    evaluates them through _process_batch in ascending mask order.  Every
+    mask in an expanded class is dropped from the weighted tallies; every
+    other mask is added once with its weight.  If expand_all, pass 2
+    evaluates every labeled graph on n vertices instead, so the masks must
+    then meet every class.  With jobs > 1 both passes run their pieces in at
+    most jobs worker processes, but expansion is decided on the whole list.
     """
     rep = SweepReport.for_checks(n, checks)
-    a, m_arr = _mask_batch(n, reps)
-    w, ok = _eigensolve(a, m_arr)
-    b = _Batch(n, a, m_arr, w)
-    verdicts = _verdicts(b, ok, checks, tol)
-    expand = ~ok | expand_all
-    for name, (applicable, viol, slack, bound) in zip(checks, verdicts):
-        expand |= viol | _near_decision(CHECKS[name], b, applicable, slack, bound, tol, witness_tol)
-    keep = ~expand
-    rep.graph_count += int(sizes[keep].sum())
-    for name, (applicable, viol, slack, _) in zip(checks, verdicts):
-        _record(rep, name, applicable[keep], viol[keep], slack[keep], witness_tol,
-                _mask_graph6(n, reps[keep]), weight=sizes[keep])
-    masks = np.sort(np.concatenate([_orbit(n, int(r)) for r in reps[expand]] + [np.zeros(0, np.int64)]))
-    for lo in range(0, len(masks), _BATCH):
-        chunk = masks[lo:lo + _BATCH]
-        a, m_arr = _mask_batch(n, chunk)
-        _process_batch(n, a, m_arr, checks, tol, witness_tol, rep, _mask_graph6(n, chunk), dump)
+    parts = 1 if jobs == 1 else min(8 * jobs, max(1, int(weights.sum()) >> 10))
+    workers = min(jobs, os.cpu_count() or 1, parts)
+    with ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext() as pool:
+        pmap = map if pool is None else pool.map
+        if expand_all:
+            copies = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+        else:
+            done = list(pmap(_flag_piece, [(n, p, checks, tol, witness_tol) for p in _pieces(masks, parts)]))
+            flag = np.concatenate([f for f, _ in done])
+            verdicts = [[np.concatenate(col) for col in zip(*(v[c] for _, v in done))] for c in range(len(checks))]
+            for applicable, _, slack in verdicts:
+                if applicable.any():
+                    flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
+            copies = np.unique(np.concatenate([_orbit(n, int(r)) for r in masks[flag]] + [np.zeros(0, np.int64)]))
+            keep = ~np.isin(masks, copies)
+            rep.graph_count += int(weights[keep].sum())
+            for name, (applicable, viol, slack) in zip(checks, verdicts):
+                _record(rep, name, applicable[keep], viol[keep], slack[keep], witness_tol,
+                        _mask_graph6(n, masks[keep]), weight=weights[keep])
+        for part in pmap(_sweep_piece, [(n, p, checks, tol, witness_tol, dump) for p in _pieces(copies, parts)]):
+            rep.merge(part)
     return rep
-
-
-def _worker(args) -> SweepReport:
-    n, reps, sizes, checks, tol, witness_tol = args
-    return _process_classes(n, reps, sizes, checks, tol, witness_tol)
 
 
 def default_jobs() -> int:
@@ -551,16 +592,19 @@ def sweep_labeled(
     jobs: Optional[int] = None,
     dump_path: Optional[str] = None,
 ) -> SweepReport:
-    """Sweep every labeled graph on n vertices (n <= 7).
+    """Sweep every labeled graph on n vertices (n <= 8).
 
-    Each isomorphism class is eigensolved once and counted with its orbit
-    size; only classes near a decision point are evaluated copy by copy (see
-    _process_classes), so the report equals a sweep of every labeled graph.
-    Dumping per-graph CSV rows evaluates every copy, in edge-mask order, and
-    requires the serial path.  jobs > 1 splits the class list into parts of
-    at least 1024 labeled graphs, at most 8*jobs parts; the merged report is
-    identical to the serial one.  At most min(jobs, CPU count, part count)
-    worker processes start.
+    A labeled graph on n vertices is a graph H on vertices 0..n-2 plus the
+    neighbour set S of vertex n-1, the last n-1 bits of its edge mask.  So
+    the pairs (H, S), with H one representative per class of order n-1
+    (_classes) weighted by its orbit size, stand for every labeled graph:
+    _process_classes eigensolves each pair once and evaluates copy by copy
+    only the classes near a decision point, so the report equals a sweep of
+    every labeled graph.  Dumping per-graph CSV rows evaluates every copy,
+    in edge-mask order; it requires the serial path and n <= 7.  jobs > 1
+    splits both passes into at most 8*jobs parts of at least 1024 labeled
+    graphs; the merged report is identical to the serial one.  At most
+    min(jobs, CPU count, part count) worker processes start.
     """
     if not (1 <= n <= ENUM_MAX_N):
         raise ValueError(f"exhaustive sweep needs 1 <= n <= {ENUM_MAX_N}, got n={n}")
@@ -568,35 +612,12 @@ def sweep_labeled(
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if dump_path is not None and jobs > 1:
         raise ValueError("per-graph CSV dump requires jobs=1")
-    reps, sizes = _classes(n)
-    if jobs == 1:
-        with _dump_writer(dump_path) as dump:
-            return _process_classes(
-                n, reps, sizes, checks, tol, witness_tol, expand_all=dump is not None, dump=dump
-            ).finalize()
-    chunk = max(1 << 10, -(-int(sizes.sum()) // (jobs * 8)))
-    ends, acc = [], 0
-    for i, size in enumerate(sizes.tolist()):
-        acc += size
-        if acc >= chunk:
-            ends.append(i + 1)
-            acc = 0
-    if acc:
-        ends[-1:] = [len(sizes)]  # the remainder joins the last part, or is the only one
-    parts = [(n, reps[lo:hi], sizes[lo:hi], checks, tol, witness_tol) for lo, hi in zip([0] + ends, ends)]
-    rep = SweepReport.for_checks(n, checks)
-    examples: Dict[str, List[str]] = {c: [] for c in checks}
-    workers = min(jobs, os.cpu_count() or 1, len(parts))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_worker, parts):
-            for c in checks:
-                examples[c] += part.violation_examples[c]
-            rep.merge(part)
-    # Each part met its violations in mask order; keep the first ones overall.
-    pairs = pair_order(n)
-    for c in checks:
-        rep.violation_examples[c] = sorted(examples[c], key=lambda g6: _mask_of(pairs, g6))[:_VIOLATION_CAP]
-    return rep.finalize()
+    if dump_path is not None and n > _DUMP_MAX_N:
+        raise ValueError(f"per-graph CSV dump needs n <= {_DUMP_MAX_N}; n={n} would write "
+                         f"{1 << (n * (n - 1) // 2):,} rows")
+    with _dump_writer(dump_path) as dump:
+        return _process_classes(n, *_pairs(n), checks, tol, witness_tol, expand_all=dump is not None, dump=dump,
+                                jobs=jobs).finalize()
 
 
 def sweep(

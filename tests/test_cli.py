@@ -1,6 +1,7 @@
 """End-to-end CLI behavior via in-process main(argv)."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -327,3 +328,41 @@ def test_construct_eigensolves_its_graph_once(argv, capsys, monkeypatch, tmp_pat
     code, out, err = run(capsys, argv + ["--cert", str(tmp_path / "cert.json")])
     assert code == 0 and err == ""
     assert len(calls) == 1
+
+
+def test_verify_dump_refused_at_order_8(capsys, tmp_path):
+    dump = tmp_path / "rows.csv"
+    code, out, err = run(capsys, ["verify", "--n", "8", "--dump", str(dump)])
+    assert code == 2 and out == "" and "dump needs n <= 7" in err and "268,435,456 rows" in err
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("argv, graphs", [
+    (["construct", "switched", "--t", "2"], 1),  # the builder's post-condition
+    (["construct", "extremal", "--t", "1"], 2),  # the switched graph, then its complement
+    (["construct", "remark", "--t", "1"], 3),  # those two, then the remark graph in the CLI
+    (["construct", "conference", "--q", "13"], 1),
+])
+def test_construct_computes_srg_parameters_once_per_graph(argv, graphs, capsys, monkeypatch, tmp_path):
+    seen = []
+    for name in ("huckel.cli", "huckel.constructions"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "srg_params", lambda g, f=module.srg_params: seen.append(g) or f(g))
+    code, out, err = run(capsys, argv + ["--cert", str(tmp_path / "cert.json")])
+    assert code == 0 and err == ""
+    assert len(seen) == len(set(seen)) == graphs
+
+
+def test_records_over_the_order_limit_are_parse_errors(capsys, tmp_path):
+    path = tmp_path / "huge.g6"
+    path.write_text("Bw\n~A?@\nDhc\n")  # a bare size header for n = 8193
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == 2 and "line 2" in err and "n=8193 exceeds the order limit 8192" in err
+    code, out, err = run(capsys, ["analyze", str(path), "--skip-bad"])
+    assert code == 0 and "line 2 skipped" in err
+    assert [rec["graph6"] for rec in json_lines(out)] == ["Bw", "Dhc"]
+    code, out, err = run(capsys, ["verify", "--corpus", str(path)])
+    assert code == 2 and f"{path}:2:" in err and "order limit" in err
+    code, out, err = run(capsys, ["verify", "--corpus", str(path), "--skip-bad"])
+    assert code == 0
+    assert [(rep["n"], rep["graph_count"]) for rep in json.loads(out)["reports"]] == [(3, 1), (5, 1)]

@@ -31,7 +31,7 @@ CORPUS_SIZE = 500
 
 def _cases():
     """name -> (argv, artifact suffix); '{out}' in argv is the artifact path."""
-    cases = {f"verify_n{n}": (["verify", "--n", str(n)], None) for n in range(1, 8)}
+    cases = {f"verify_n{n}": (["verify", "--n", str(n)], None) for n in range(1, 9)}
     for n in (4, 5):
         cases[f"verify_n{n}_dump"] = (["verify", "--n", str(n), "--dump", "{out}"], ".csv")
     cases["verify_corpus"] = (["verify", "--corpus", str(CORPUS)], None)

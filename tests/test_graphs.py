@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from conftest import random_graph
 from huckel.graphs import (
+    _LONG_MAX,
+    _ORDER_MAX,
     Graph,
     Graph6Error,
     add_duplicate_vertex,
@@ -284,3 +287,22 @@ def test_write_graph6_equals_the_bit_loop():
     graphs += [random_graph(rng, 300, 0.3), Graph.complete(70), Graph.empty(63)]
     for g in graphs:
         assert write_graph6(g) == _graph6_by_bit_loop(g), g.n
+
+
+def _size_header(n):
+    return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+
+
+def test_graph6_order_limit():
+    # A bare size header is rejected before any n x n array is allocated.
+    tracemalloc.start()
+    try:
+        for n in (_ORDER_MAX + 1, _LONG_MAX):
+            with pytest.raises(Graph6Error, match=f"n={n} exceeds the order limit {_ORDER_MAX}"):
+                parse_graph6(_size_header(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(Graph6Error, match=rf"body for n={_ORDER_MAX} needs \d+ bytes, got 0"):
+        parse_graph6(_size_header(_ORDER_MAX))

@@ -132,7 +132,7 @@ def test_sweep_checks_subset():
 
 def test_sweep_rejects_large_order():
     with pytest.raises(ValueError, match="exhaustive sweep"):
-        sweep_labeled(8)
+        sweep_labeled(9)
 
 
 def test_dump_rows(tmp_path):
@@ -451,3 +451,60 @@ def test_parallel_violation_examples_match_serial(monkeypatch):
     serial = sweep_labeled(6, tol=-0.5)
     assert serial.checks["upper_n"].violated > 20
     assert sweep_labeled(6, tol=-0.5, jobs=4).to_dict() == serial.to_dict()
+
+
+# ─── the augmentation pairs ─────────────────────────────────────────────────
+
+
+def test_pair_weights_count_every_labeled_graph():
+    masks, weights = sweep_module._pairs(8)
+    assert len(masks) == 1044 << 7  # the classes of order 7, times the 2^7 neighbour sets
+    assert len(np.unique(masks)) == len(masks)
+    assert int(weights.sum()) == 1 << 28
+
+
+def test_the_pairs_of_a_class_weigh_its_orbit_size():
+    n = 6
+    masks, weights = sweep_module._pairs(n)
+    for r, size in zip(*sweep_module._classes(n)):
+        assert int(weights[np.isin(masks, sweep_module._orbit(n, int(r)))].sum()) == size
+
+
+def test_parallel_order_8_matches_serial(monkeypatch):
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _NoPool)
+    serial = sweep_labeled(8)
+    assert serial.graph_count == 1 << 28
+    assert serial.checks["lower"].holds == 252_522_481  # graphs without isolated vertices, OEIS A006129
+    assert sweep_labeled(8, jobs=2).to_dict() == serial.to_dict()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("options", [
+    {},
+    {"checks": ("lower", "odd_strict", "lemma1")},
+    {"tol": 0.0},
+    {"witness_tol": 1e-3},
+])
+def test_pair_sweep_in_tiny_pieces_matches_every_labeled_graph(n, options, monkeypatch):
+    # Pieces of 7 masks: the smallest slack must still be the one over all pieces.
+    oracle = sweep_labeled(n, dump_path=os.devnull, **options)
+    monkeypatch.setattr(sweep_module, "_BATCH", 7)
+    assert sweep_labeled(n, **options).to_dict() == oracle.to_dict()
+
+
+def test_a_class_flagged_by_some_of_its_pairs_counts_once():
+    # The edge of a witness band inside the rounded slacks of one class's
+    # pairs: some of them are flagged and the others, kept by themselves,
+    # must give way to the expanded copies of their class.
+    n = 5
+    masks, _ = sweep_module._pairs(n)
+    b, verdicts = _copies(n, masks)
+    applicable, _, slack, _ = verdicts["intermediate"]
+    cls = np.array([sweep_module._orbit(n, int(r))[0] for r in masks])
+    spread = {c: slack[cls == c] for c in np.unique(cls[applicable & ~CHECKS["intermediate"].steep(b)])}
+    widest = max(spread.values(), key=np.ptp)
+    witness_tol = (widest.min() + widest.max()) / 2 - DUST_TOL
+    near = np.abs(widest) <= witness_tol + DUST_TOL
+    assert near.any() and not near.all()
+    oracle = sweep_labeled(n, checks=("intermediate",), witness_tol=witness_tol, dump_path=os.devnull)
+    assert sweep_labeled(n, checks=("intermediate",), witness_tol=witness_tol).to_dict() == oracle.to_dict()
