@@ -413,7 +413,8 @@ def _perm_bits(n: int) -> np.ndarray:
     """(n!, C(n,2)) table: entry [p, k] is the mask bit of the image of pair k
     under the p-th permutation of the n vertices."""
     pairs = np.array(pair_order(n), dtype=np.int64).reshape(-1, 2)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    # int8 index arithmetic, exact for n <= 12, keeps the n!-row temporaries small.
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     i, j = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     table = np.left_shift(np.int64(1), hi * (hi - 1) // 2 + lo)
