@@ -553,7 +553,7 @@ def _process_classes(
     rep = SweepReport.for_checks(n, checks)
     parts = 1 if jobs == 1 else min(8 * jobs, max(1, int(weights.sum()) >> 10))
     workers = min(jobs, os.cpu_count() or 1, parts)
-    with ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext() as pool:
+    with (ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext()) as pool:
         pmap = map if pool is None else pool.map
         if expand_all:
             copies = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
@@ -603,8 +603,8 @@ def sweep_labeled(
     only the classes near a decision point, so the report equals a sweep of
     every labeled graph.  Dumping per-graph CSV rows evaluates every copy,
     in edge-mask order; it requires the serial path and n <= 7.  jobs > 1
-    splits both passes into at most 8*jobs parts of at least 1024 labeled
-    graphs; the merged report is identical to the serial one.  At most
+    cuts each pass into up to 8*jobs parts, one per 1024 labeled graphs;
+    the merged report is identical to the serial one.  At most
     min(jobs, CPU count, part count) worker processes start.
     """
     if not (1 <= n <= ENUM_MAX_N):
