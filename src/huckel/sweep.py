@@ -413,11 +413,13 @@ def _perm_bits(n: int) -> np.ndarray:
     """(n!, C(n,2)) table: entry [p, k] is the mask bit of the image of pair k
     under the p-th permutation of the n vertices."""
     pairs = np.array(pair_order(n), dtype=np.int64).reshape(-1, 2)
-    # int8 index arithmetic, exact for n <= 12, keeps the n!-row temporaries small.
+    # int8 index arithmetic, exact for n <= 12, keeps the n!-row temporaries
+    # small.  The shift runs in int64: NumPy 1's value-based casting would
+    # otherwise run it in int8 and overflow from bit 7 on.
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     i, j = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    table = np.left_shift(np.int64(1), hi * (hi - 1) // 2 + lo)
+    table = np.left_shift(np.int64(1), hi * (hi - 1) // 2 + lo, dtype=np.int64)
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 
@@ -530,8 +532,6 @@ def _process_classes(
     checks: Tuple[str, ...],
     tol: float,
     witness_tol: float,
-    expand_all: bool = False,
-    dump=None,
     jobs: int = 1,
 ) -> SweepReport:
     """Sweep the labeled graphs on n vertices that masks stand for, mask i
@@ -545,9 +545,7 @@ def _process_classes(
     flagged mask is expanded once into its labeled copies, and pass 2
     evaluates them through _process_batch in ascending mask order.  Every
     mask in an expanded class is dropped from the weighted tallies; every
-    other mask is added once with its weight.  If expand_all, pass 2
-    evaluates every labeled graph on n vertices instead, so the masks must
-    then meet every class.  With jobs > 1 both passes run their pieces in at
+    other mask is added once with its weight.  With jobs > 1 both passes run their pieces in at
     most jobs worker processes, but expansion is decided on the whole list.
     """
     rep = SweepReport.for_checks(n, checks)
@@ -555,22 +553,19 @@ def _process_classes(
     workers = min(jobs, os.cpu_count() or 1, parts)
     with (ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext()) as pool:
         pmap = map if pool is None else pool.map
-        if expand_all:
-            copies = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-        else:
-            done = list(pmap(_flag_piece, [(n, p, checks, tol, witness_tol) for p in _pieces(masks, parts)]))
-            flag = np.concatenate([f for f, _ in done])
-            verdicts = [[np.concatenate(col) for col in zip(*(v[c] for _, v in done))] for c in range(len(checks))]
-            for applicable, _, slack in verdicts:
-                if applicable.any():
-                    flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
-            copies = np.unique(np.concatenate([_orbit(n, int(r)) for r in masks[flag]] + [np.zeros(0, np.int64)]))
-            keep = ~np.isin(masks, copies)
-            rep.graph_count += int(weights[keep].sum())
-            for name, (applicable, viol, slack) in zip(checks, verdicts):
-                _record(rep, name, applicable[keep], viol[keep], slack[keep], witness_tol,
-                        _mask_graph6(n, masks[keep]), weight=weights[keep])
-        for part in pmap(_sweep_piece, [(n, p, checks, tol, witness_tol, dump) for p in _pieces(copies, parts)]):
+        done = list(pmap(_flag_piece, [(n, p, checks, tol, witness_tol) for p in _pieces(masks, parts)]))
+        flag = np.concatenate([f for f, _ in done])
+        verdicts = [[np.concatenate(col) for col in zip(*(v[c] for _, v in done))] for c in range(len(checks))]
+        for applicable, _, slack in verdicts:
+            if applicable.any():
+                flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
+        copies = np.unique(np.concatenate([_orbit(n, int(r)) for r in masks[flag]] + [np.zeros(0, np.int64)]))
+        keep = ~np.isin(masks, copies)
+        rep.graph_count += int(weights[keep].sum())
+        for name, (applicable, viol, slack) in zip(checks, verdicts):
+            _record(rep, name, applicable[keep], viol[keep], slack[keep], witness_tol,
+                    _mask_graph6(n, masks[keep]), weight=weights[keep])
+        for part in pmap(_sweep_piece, [(n, p, checks, tol, witness_tol, None) for p in _pieces(copies, parts)]):
             rep.merge(part)
     return rep
 
@@ -616,9 +611,13 @@ def sweep_labeled(
     if dump_path is not None and n > _DUMP_MAX_N:
         raise ValueError(f"per-graph CSV dump needs n <= {_DUMP_MAX_N}; n={n} would write "
                          f"{1 << (n * (n - 1) // 2):,} rows")
+    if not dump_path:
+        return _process_classes(n, *_pairs(n), checks, tol, witness_tol, jobs=jobs).finalize()
+    rep = SweepReport.for_checks(n, checks)
     with _dump_writer(dump_path) as dump:
-        return _process_classes(n, *_pairs(n), checks, tol, witness_tol, expand_all=dump is not None, dump=dump,
-                                jobs=jobs).finalize()
+        for piece in _pieces(np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), 1):
+            rep.merge(_sweep_piece((n, piece, checks, tol, witness_tol, dump)))
+    return rep.finalize()
 
 
 def sweep(

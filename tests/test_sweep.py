@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import itertools
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from huckel.bounds import lemma1_check, lower_bound, upper_bound, upper_bound_applies, upper_bound_order
-from huckel.graphs import Graph, add_isolated_vertex, mask_graph6, parse_graph6
+from huckel.graphs import Graph, add_isolated_vertex, mask_graph6, pair_order, parse_graph6
 from huckel.spectra import DUST_TOL, TIGHT_TOL, energy
 from huckel.sweep import (
     ALL_CHECKS,
@@ -451,6 +452,17 @@ def test_parallel_violation_examples_match_serial(monkeypatch):
     serial = sweep_labeled(6, tol=-0.5)
     assert serial.checks["upper_n"].violated > 20
     assert sweep_labeled(6, tol=-0.5, jobs=4).to_dict() == serial.to_dict()
+
+
+def test_permutation_table_holds_every_mask_bit():
+    # From n = 5 on the table holds bits 7 and up, which an int8 shift loses.
+    n = 6
+    index = {pair: k for k, pair in enumerate(pair_order(n))}
+    expected = [[1 << index[tuple(sorted((p[i], p[j])))] for i, j in pair_order(n)]
+                for p in itertools.permutations(range(n))]
+    table = sweep_module._perm_bits(n)
+    assert table.dtype == np.int64
+    assert table.tolist() == expected
 
 
 # ─── the augmentation pairs ─────────────────────────────────────────────────
