@@ -545,8 +545,9 @@ def _process_classes(
     flagged mask is expanded once into its labeled copies, and pass 2
     evaluates them through _process_batch in ascending mask order.  Every
     mask in an expanded class is dropped from the weighted tallies; every
-    other mask is added once with its weight.  With jobs > 1 both passes run their pieces in at
-    most jobs worker processes, but expansion is decided on the whole list.
+    other mask is added once with its weight.  With jobs > 1 both passes
+    run their pieces in at most jobs worker processes, but expansion is
+    decided on the whole list.
     """
     rep = SweepReport.for_checks(n, checks)
     parts = 1 if jobs == 1 else min(8 * jobs, max(1, int(weights.sum()) >> 10))
