@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Set, Tuple
+from typing import Callable, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from .graphs import Graph, stats
+from .graphs import Graph
 from .spectra import (
     DUST_TOL,
     TIGHT_TOL,
@@ -297,12 +297,14 @@ def _bound_fields(n: int, m, he, alpha, beta, isolated, tol: float = VIOLATION_T
     return fields
 
 
-def bound_report(g: Graph, spectrum: Optional[Spectrum] = None) -> BoundReport:
-    """Evaluate every bound against one graph's spectrum."""
-    st = stats(g)
-    ev = energy_values(spectrum if spectrum is not None else eigenvalues(g))
-    return BoundReport(n=g.n, m=st.m, energies=ev, has_isolated=st.has_isolated,
-                       **_bound_fields(g.n, st.m, ev.huckel, ev.alpha, ev.beta, st.has_isolated))
+def bound_report(g: Union[Graph, np.ndarray], spectrum: Optional[Spectrum] = None) -> BoundReport:
+    """Evaluate every bound against one graph's (or adjacency's) spectrum."""
+    a = g.dense() if isinstance(g, Graph) else g
+    degs = a.sum(axis=1)
+    n, m, isolated = len(a), int(degs.sum()) // 2, bool((degs == 0).any())
+    ev = energy_values(spectrum if spectrum is not None else eigenvalues(a))
+    return BoundReport(n=n, m=m, energies=ev, has_isolated=isolated,
+                       **_bound_fields(n, m, ev.huckel, ev.alpha, ev.beta, isolated))
 
 
 def classify_equality(report: BoundReport, tol: float = TIGHT_TOL) -> Set[str]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -225,6 +227,8 @@ def seidel_switch(g: Graph, switch_set: Iterable[int]) -> Graph:
 _HEADER = ">>graph6<<"
 # The ASCII characters str.strip() drops by default.
 _ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+# The first character outside the graph6 byte range [63,126], '?' to '~'.
+_OUT_OF_RANGE = re.compile(r"[^?-~]")
 # A 6-bit group, written most significant bit first, to its graph6 byte.
 _G6_CHAR = {format(v, "06b"): chr(63 + v) for v in range(64)}
 
@@ -260,7 +264,7 @@ def graph6_records(fh: TextIO) -> Iterator[Tuple[int, str]]:
     """(line number, record) for every non-blank line of a graph6 stream.
 
     Only ASCII whitespace around a record is dropped, so a stream decoded as
-    latin-1 hands any non-ASCII byte to parse_graph6, which rejects it with
+    latin-1 hands any non-ASCII byte to decode_graph6, which rejects it with
     its position.
     """
     for ln, line in enumerate(fh, start=1):
@@ -269,14 +273,19 @@ def graph6_records(fh: TextIO) -> Iterator[Tuple[int, str]]:
             yield ln, record
 
 
+@lru_cache(maxsize=None)
+def _lower(n: int) -> np.ndarray:
+    """The strict lower triangle of order n as an n x n bool mask, shared by every caller."""
+    return np.tri(n, k=-1, dtype=bool)
+
+
 def pair_batch(n: int, bits: np.ndarray, dtype=np.float64) -> np.ndarray:
     """The (B, n, n) adjacency batch of (B, C(n,2)) pair bits in graph6 order,
     which is the row-major order of the strict lower triangle."""
-    lower = np.tri(n, k=-1, dtype=bool)
+    lower = _lower(n) if n <= _SHORT_MAX else np.tri(n, k=-1, dtype=bool)
     a = np.zeros((len(bits), n, n), dtype=np.uint8)  # scattered as bytes, then widened: faster
     a[:, lower] = bits
-    a.transpose(0, 2, 1)[:, lower] = bits
-    return a.astype(dtype, copy=False)
+    return (a | a.transpose(0, 2, 1)).astype(dtype, copy=False)
 
 
 def pair_bits(g: Graph) -> np.ndarray:
@@ -296,7 +305,7 @@ def _body_bits(n: int, body: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def decode_graph6_batch(records: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
     """Decode non-empty records of a latin-1 stream in bulk: each record's
     order, or -1 unless it is short-form with the length its order needs,
-    every byte in 63..126 and zero padding (parse_graph6 decides the rest);
+    every byte in 63..126 and zero padding (decode_graph6 decides the rest);
     each decoded record's row in its order's group; and per order the pair
     bits of its decoded records.  A decoded record is its write_graph6 string."""
     lens = np.fromiter(map(len, records), np.int64, len(records))
@@ -317,7 +326,10 @@ def decode_graph6_batch(records: Sequence[str]) -> Tuple[np.ndarray, np.ndarray,
     return order, rank, groups
 
 
-def parse_graph6(text: str) -> Graph:
+def decode_graph6(text: str) -> Tuple[int, np.ndarray, str]:
+    """(n, pair bits, write_graph6 string) of one graph6 record, its C(n,2)
+    uint8 pair bits in graph6 order.  A >>graph6<< header and a line ending
+    are dropped; a malformed record raises Graph6Error."""
     record = text.rstrip("\r\n")
     if record.startswith(_HEADER):
         record = record[len(_HEADER):]
@@ -326,9 +338,9 @@ def parse_graph6(text: str) -> Graph:
     if record[0] in ":;&":
         raise Graph6Error(f"record starts with {record[0]!r}: sparse6/digraph6/incremental formats "
                           "are not supported (undirected graph6 only)")
-    for pos, ch in enumerate(record):
-        if not (63 <= ord(ch) <= 126):
-            raise Graph6Error(f"byte {ord(ch)} at position {pos} outside graph6 range [63,126]")
+    bad = _OUT_OF_RANGE.search(record)
+    if bad:
+        raise Graph6Error(f"byte {ord(bad.group())} at position {bad.start()} outside graph6 range [63,126]")
     if record[0] == "~":
         if len(record) >= 2 and record[1] == "~":
             raise Graph6Error(f"extra-long size header at position 0: n >= {_LONG_MAX + 1} unsupported")
@@ -350,5 +362,12 @@ def parse_graph6(text: str) -> Graph:
     bits, clean = _body_bits(n, np.frombuffer(body.encode("latin-1"), np.uint8)[None] - np.uint8(63))
     if not clean[0]:
         raise Graph6Error(f"nonzero padding bit in final group (byte position {body_start + need - 1})")
-    packed = np.packbits(pair_batch(n, bits, np.uint8)[0], axis=1, bitorder="little")
+    # With zero padding only a long size header of a short-form order is not canonical.
+    canonical = chr(63 + n) + body if body_start == 4 and n <= _SHORT_MAX else record
+    return n, bits[0], canonical
+
+
+def parse_graph6(text: str) -> Graph:
+    n, bits, _ = decode_graph6(text)
+    packed = np.packbits(pair_batch(n, bits[None], np.uint8)[0], axis=1, bitorder="little")
     return Graph._from_rows_unchecked(n, tuple(int.from_bytes(row, "little") for row in packed))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,22 +44,22 @@ class SrgParams:
         return (self.n, self.k, self.lam, self.mu)
 
 
-def srg_params(g: Graph) -> Optional[SrgParams]:
+def srg_params(g: Union[Graph, np.ndarray]) -> Optional[SrgParams]:
     """Detect strong regularity combinatorially via common-neighbor counts.
 
     Returns the parameters, or None for graphs that are not strongly regular
     (complete and empty graphs are excluded by convention).  Needs n >= 3.
     """
-    n = g.n
+    a = g.dense() if isinstance(g, Graph) else g
+    n = len(a)
     if n < 3:
         return None
-    degs = g.degrees()
-    k = degs[0]
-    if any(d != k for d in degs) or k == 0 or k == n - 1:
+    degs = a.sum(axis=1)
+    k = int(degs[0])
+    if (degs != k).any() or k == 0 or k == n - 1:
         return None
     # Common-neighbour counts are the entries of A @ A, exact in float64;
     # 0 < k < n-1 guarantees both an edge and a non-edge.
-    a = g.dense()
     upper = np.triu_indices(n, 1)
     edge, common = a[upper] > 0.0, (a @ a)[upper]
     lam, mu = common[edge], common[~edge]

@@ -34,8 +34,8 @@ from .bounds import (
     upper_bound_order,
     violated,
 )
-from .graphs import (Graph, Graph6Error, decode_graph6_batch, graph6_records, mask_graph6, pair_batch, pair_bits,
-                     pair_order, parse_graph6, write_graph6)
+from .graphs import (Graph, Graph6Error, decode_graph6, decode_graph6_batch, graph6_records, mask_graph6, pair_batch,
+                     pair_bits, pair_order, parse_graph6, write_graph6)
 from .spectra import DUST_TOL, TIGHT_TOL, VIOLATION_TOL, energy, half_spectrum, invariants_hold
 
 ENUM_MAX_N = 8
@@ -165,9 +165,9 @@ def _validate_checks(checks: Sequence[str]) -> Tuple[str, ...]:
 def corpus_records(path: str, on_error: str = "raise") -> Iterator[Tuple[int, np.ndarray, str]]:
     """(order, pair bits, graph6) of each record of a graph6 file, one per
     line, in file order, decoded _CHUNK at a time by decode_graph6_batch.
-    Each record it leaves goes through parse_graph6 and, if it parses, is
-    re-encoded by write_graph6.  Blank lines are skipped.  Malformed records
-    raise (with the line number) or are skipped, per on_error in {"raise", "skip"}."""
+    Each record it leaves goes through decode_graph6.  Blank lines are
+    skipped.  Malformed records raise (with the line number) or are skipped,
+    per on_error in {"raise", "skip"}."""
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
     with open(path, "r", encoding="latin-1") as fh:
@@ -179,12 +179,12 @@ def corpus_records(path: str, on_error: str = "raise") -> Iterator[Tuple[int, np
                     yield n, groups[n][k], record
                     continue
                 try:
-                    g = parse_graph6(record)
+                    decoded = decode_graph6(record)
                 except Graph6Error as exc:
                     if on_error == "raise":
                         raise Graph6Error(f"{path}:{ln}: {exc}") from exc
                     continue
-                yield g.n, pair_bits(g), write_graph6(g)
+                yield decoded
 
 
 def stream_corpus(path: str, on_error: str = "raise") -> Iterator[Graph]:
@@ -560,7 +560,9 @@ def _process_classes(
         for applicable, _, slack in verdicts:
             if applicable.any():
                 flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
-        copies = np.unique(np.concatenate([_orbit(n, int(r)) for r in masks[flag]] + [np.zeros(0, np.int64)]))
+        copies = np.zeros(0, np.int64)
+        for r in masks[flag].tolist():  # a flagged mask in an orbit already expanded adds nothing
+            copies = copies if r in copies else np.union1d(copies, _orbit(n, r))
         keep = ~np.isin(masks, copies)
         rep.graph_count += int(weights[keep].sum())
         for name, (applicable, viol, slack) in zip(checks, verdicts):

@@ -520,3 +520,15 @@ def test_a_class_flagged_by_some_of_its_pairs_counts_once():
     assert near.any() and not near.all()
     oracle = sweep_labeled(n, checks=("intermediate",), witness_tol=witness_tol, dump_path=os.devnull)
     assert sweep_labeled(n, checks=("intermediate",), witness_tol=witness_tol).to_dict() == oracle.to_dict()
+
+
+@pytest.mark.parametrize("n, classes", [(7, 13), (8, 19)])
+def test_each_expanded_class_computes_its_orbit_once(n, classes, monkeypatch):
+    # 28 flagged pairs at n = 7 and 39 at n = 8 lie in 13 and 19 classes; a
+    # flagged pair inside an orbit already expanded computes no orbit.
+    masks, weights = sweep_module._pairs(n)
+    orbit, calls = sweep_module._orbit, []
+    monkeypatch.setattr(sweep_module, "_orbit", lambda n, mask: calls.append(mask) or orbit(n, mask))
+    rep = sweep_module._process_classes(n, masks, weights, ALL_CHECKS, 1e-8, TIGHT_TOL)
+    assert len(calls) == len(set(calls)) == classes
+    assert rep.graph_count == 1 << (n * (n - 1) // 2)
