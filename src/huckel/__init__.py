@@ -75,7 +75,6 @@ from .sweep import (
     ALL_CHECKS,
     CheckTally,
     SweepReport,
-    stream_corpus,
     sweep,
     sweep_labeled,
 )

@@ -302,28 +302,27 @@ def _body_bits(n: int, body: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return bits.reshape(len(body), 6 * body.shape[1])[:, :nbits], clean
 
 
-def decode_graph6_batch(records: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+def decode_graph6_batch(records: Sequence[str]) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
     """Decode non-empty records of a latin-1 stream in bulk: each record's
     order, or -1 unless it is short-form with the length its order needs,
     every byte in 63..126 and zero padding (decode_graph6 decides the rest);
-    each decoded record's row in its order's group; and per order the pair
-    bits of its decoded records.  A decoded record is its write_graph6 string."""
+    and per order the pair bits of its decoded records, in record order.  A
+    decoded record is its write_graph6 string."""
     lens = np.fromiter(map(len, records), np.int64, len(records))
     data = np.frombuffer("".join(records).encode("latin-1"), np.uint8)
     starts = np.cumsum(lens) - lens
     order = data[starts].astype(np.int64) - 63
     need = (order * (order - 1) // 2 + 5) // 6
     order[(order < 0) | (order > _SHORT_MAX) | (lens != 1 + need)] = -1
-    rank, groups = np.zeros(len(records), np.int64), {}
-    for n in np.unique(order[order >= 0]).tolist():
+    groups = {}
+    for n in np.flatnonzero(np.bincount(order[order >= 0])).tolist():
         idx = np.nonzero(order == n)[0]
         body = data[starts[idx, None] + 1 + np.arange(need[idx[0]])] - np.uint8(63)
         bits, clean = _body_bits(n, body)
         good = clean & (body < 64).all(axis=1)
         order[idx[~good]] = -1
-        rank[idx[good]] = np.arange(good.sum())
         groups[n] = bits[good]
-    return order, rank, groups
+    return order, groups
 
 
 def decode_graph6(text: str) -> Tuple[int, np.ndarray, str]:

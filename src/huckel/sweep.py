@@ -34,8 +34,10 @@ from .bounds import (
     upper_bound_order,
     violated,
 )
-from .graphs import (Graph, Graph6Error, decode_graph6, decode_graph6_batch, graph6_records, mask_graph6, pair_batch,
-                     pair_bits, pair_order, parse_graph6, write_graph6)
+# parse_graph6 and write_graph6 are not called here: they stay bound for
+# perfbench's tracer, which wraps them here.
+from .graphs import (Graph6Error, decode_graph6, decode_graph6_batch, graph6_records, mask_graph6, pair_batch,
+                     pair_order, parse_graph6, write_graph6)
 from .spectra import DUST_TOL, TIGHT_TOL, VIOLATION_TOL, energy, half_spectrum, invariants_hold
 
 ENUM_MAX_N = 8
@@ -46,6 +48,11 @@ _WITNESS_CAP = 1000
 _VIOLATION_CAP = 20
 _BATCH = 1 << 16
 _CHUNK = 1 << 14  # corpus records decoded together
+_FLUSH = 4096  # corpus records of one order swept together
+_SOLVE_CELLS = 1 << 18  # adjacency entries per corpus eigensolve: 2 MB of float64
+
+# A corpus segment: (order n, (k, C(n,2)) uint8 pair bits, k graph6 strings, k stream positions).
+Segment = Tuple[int, np.ndarray, List[str], np.ndarray]
 
 
 @dataclass
@@ -162,34 +169,43 @@ def _validate_checks(checks: Sequence[str]) -> Tuple[str, ...]:
 # ─── enumeration and corpora ────────────────────────────────────────────────
 
 
-def corpus_records(path: str, on_error: str = "raise") -> Iterator[Tuple[int, np.ndarray, str]]:
-    """(order, pair bits, graph6) of each record of a graph6 file, one per
-    line, in file order, decoded _CHUNK at a time by decode_graph6_batch.
-    Each record it leaves goes through decode_graph6.  Blank lines are
-    skipped.  Malformed records raise (with the line number) or are skipped,
-    per on_error in {"raise", "skip"}."""
+def corpus_records(path: str, on_error: str = "raise") -> Iterator[List[Segment]]:
+    """The records of a graph6 file, one per non-blank line, as sections of
+    segments (n, pair bits, graph6 strings, positions): the records of order
+    n in the section, in file order, with their indices among the file's
+    records.  decode_graph6_batch decodes _CHUNK records at a time, and the
+    segments slice its per-order blocks.  A record it leaves goes through
+    decode_graph6 and is a section of its own, between the rows before and
+    after it; a malformed one raises (with the line number) or is skipped,
+    per on_error in {"raise", "skip"}, after the rows before it."""
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
     with open(path, "r", encoding="latin-1") as fh:
-        stream = graph6_records(fh)
+        stream, base = graph6_records(fh), 0
         while chunk := list(itertools.islice(stream, _CHUNK)):
-            order, rank, groups = decode_graph6_batch([record for _, record in chunk])
-            for (ln, record), n, k in zip(chunk, order.tolist(), rank.tolist()):
-                if n >= 0:
-                    yield n, groups[n][k], record
-                    continue
+            records = [record for _, record in chunk]
+            order, groups = decode_graph6_batch(records)
+            rows = {n: np.flatnonzero(order == n) for n in groups}
+
+            def section(lo: int, hi: int) -> List[Segment]:
+                """The segments of the bulk rows at chunk positions lo..hi-1."""
+                cuts = {n: np.searchsorted(at, (lo, hi)).tolist() for n, at in rows.items()}
+                return [(n, groups[n][k0:k1], [records[i] for i in rows[n][k0:k1].tolist()], base + rows[n][k0:k1])
+                        for n, (k0, k1) in cuts.items() if k1 > k0]
+
+            lo = 0
+            for i in np.flatnonzero(order < 0).tolist():
+                yield section(lo, i)
+                lo = i + 1
                 try:
-                    decoded = decode_graph6(record)
+                    n, bits, g6 = decode_graph6(records[i])
                 except Graph6Error as exc:
                     if on_error == "raise":
-                        raise Graph6Error(f"{path}:{ln}: {exc}") from exc
+                        raise Graph6Error(f"{path}:{chunk[i][0]}: {exc}") from exc
                     continue
-                yield decoded
-
-
-def stream_corpus(path: str, on_error: str = "raise") -> Iterator[Graph]:
-    """The graphs of corpus_records(path, on_error)."""
-    return (parse_graph6(g6) for _, _, g6 in corpus_records(path, on_error))
+                yield [(n, bits[None], [g6], np.array([base + i]))]
+            yield section(lo, len(records))
+            base += len(records)
 
 
 # ─── the check table ────────────────────────────────────────────────────────
@@ -561,9 +577,11 @@ def _process_classes(
             if applicable.any():
                 flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
         copies = np.zeros(0, np.int64)
-        for r in masks[flag].tolist():  # a flagged mask in an orbit already expanded adds nothing
-            copies = copies if r in copies else np.union1d(copies, _orbit(n, r))
-        keep = ~np.isin(masks, copies)
+        # A flagged mask in an orbit already expanded adds nothing; other
+        # orbits are disjoint from copies, so sorting the two is their union.
+        for r in masks[flag].tolist():
+            copies = copies if r in copies else np.sort(np.concatenate((copies, _orbit(n, r))))
+        keep = ~np.isin(masks, copies, assume_unique=True)  # masks are distinct; copies sorted, distinct
         rep.graph_count += int(weights[keep].sum())
         for name, (applicable, viol, slack) in zip(checks, verdicts):
             _record(rep, name, applicable[keep], viol[keep], slack[keep], witness_tol,
@@ -624,36 +642,49 @@ def sweep_labeled(
 
 
 def sweep(
-    graphs: Iterable[Graph],
+    records: Iterable[Sequence[Segment]],
     checks: Sequence[str] = ALL_CHECKS,
     tol: float = VIOLATION_TOL,
     witness_tol: float = TIGHT_TOL,
     dump_path: Optional[str] = None,
 ) -> List[SweepReport]:
-    """Sweep a stream of graphs or of corpus_records.  Records are buffered
-    per order in stream order; a buffer is swept as one batch when it holds
-    4,096 records, and the rest at the end, in the order the buffers were
-    opened.  Returns one report per order, sorted by order."""
+    """Sweep the sections of corpus_records, one report per order, sorted by
+    order.  Each order's rows are buffered as segments in stream order and
+    swept at the record that brings the buffer to _FLUSH rows; the buffers
+    left at the end are swept in the order they were opened or reopened.
+    So the --dump rows, violation examples and rows written before a
+    mid-file error are those of a record-at-a-time reader.  A buffer is
+    eigensolved in sub-batches of at most _SOLVE_CELLS adjacency entries."""
     checks = _validate_checks(checks)
     reports: Dict[int, SweepReport] = {}
-    buffers: Dict[int, Tuple[List[np.ndarray], List[str]]] = {}
+    buffers: Dict[int, list] = {}  # order -> [position it opened at, rows, [(bits, g6), ...]]
 
-    def flush(n: int) -> None:
-        bits, g6 = buffers.pop(n)
+    def flush(n: int, segments) -> None:
         if n not in reports:
             reports[n] = SweepReport.for_checks(n, checks)
-        bits = np.array(bits)
-        _process_batch(n, pair_batch(n, bits), bits.sum(axis=1, dtype=np.int64), checks, tol, witness_tol,
-                       reports[n], g6.__getitem__, dump)
+        bits = np.concatenate([b for b, _ in segments])
+        g6 = [s for _, strings in segments for s in strings]
+        step = max(1, _SOLVE_CELLS // max(1, n * n))
+        for lo in range(0, len(g6), step):
+            sub = bits[lo:lo + step]
+            _process_batch(n, pair_batch(n, sub), sub.sum(axis=1, dtype=np.int64), checks, tol, witness_tol,
+                           reports[n], g6[lo:lo + step].__getitem__, dump)
 
     with _dump_writer(dump_path) as dump:
-        for item in graphs:
-            n, bits, g6 = item if isinstance(item, tuple) else (item.n, pair_bits(item), write_graph6(item))
-            buf = buffers.setdefault(n, ([], []))
-            buf[0].append(bits)
-            buf[1].append(g6)
-            if len(buf[1]) >= 4096:
-                flush(n)
-        for n in list(buffers):
-            flush(n)
+        for section in records:
+            due = []  # (position, order, segments) of the buffers this section fills
+            for n, bits, g6, at in section:
+                lo = 0
+                while lo < len(g6):
+                    buf = buffers.setdefault(n, [int(at[lo]), 0, []])
+                    hi = min(len(g6), lo + _FLUSH - buf[1])
+                    buf[1] += hi - lo
+                    buf[2].append((bits[lo:hi], g6[lo:hi]))
+                    if buf[1] == _FLUSH:
+                        due.append((int(at[hi - 1]), n, buffers.pop(n)[2]))
+                    lo = hi
+            for _, n, segments in sorted(due, key=lambda d: d[0]):
+                flush(n, segments)
+        for n, buf in sorted(buffers.items(), key=lambda item: item[1][0]):
+            flush(n, buf[2])
     return [reports[n].finalize() for n in sorted(reports)]

@@ -5,6 +5,10 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,3 +370,21 @@ def test_records_over_the_order_limit_are_parse_errors(capsys, tmp_path):
     code, out, err = run(capsys, ["verify", "--corpus", str(path), "--skip-bad"])
     assert code == 0
     assert [(rep["n"], rep["graph_count"]) for rep in json.loads(out)["reports"]] == [(3, 1), (5, 1)]
+
+
+def test_verify_and_analyze_do_not_import_numpy_ma():
+    # np.unique and its set routines import numpy.ma on first use, about
+    # 10 ms and 1 MB inside every run.
+    corpus = Path(__file__).resolve().parent / "golden" / "corpus.g6"
+    code = (
+        "import contextlib, io, sys\n"
+        "from huckel.cli import main\n"
+        f"for argv in (['verify', '--n', '6'], ['verify', '--corpus', {str(corpus)!r}], ['analyze', {str(corpus)!r}]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -8,12 +8,14 @@ Graph-at-a-time corpus sweep live on here only as oracles.
 import functools
 import importlib
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import corpus_graphs, random_graph
 from huckel import cli
 from huckel.graphs import (
     Graph,
@@ -21,6 +23,7 @@ from huckel.graphs import (
     decode_graph6_batch,
     dense_batch,
     graph6_records,
+    mask_graph6,
     pair_batch,
     pair_bits,
     pair_order,
@@ -182,8 +185,9 @@ def test_decode_graph6_batch_takes_exactly_the_canonical_short_records():
     records = good + [">>graph6<<Bw", "Bww", "A@", "C\xc3~", "~~??????", "~??", ":Bw", "Dh", "?@"]
     rng = random.Random(0x6D)
     rng.shuffle(records)
-    order, rank, groups = decode_graph6_batch(records)
-    for record, n, k in zip(records, order.tolist(), rank.tolist()):
+    order, groups = decode_graph6_batch(records)
+    rank = [np.count_nonzero(order[:i] == n) for i, n in enumerate(order.tolist())]
+    for record, n, k in zip(records, order.tolist(), rank):
         canonical = record in good and not record.startswith("~")
         assert (n >= 0) == canonical, record
         if canonical:
@@ -264,9 +268,11 @@ def _after_first_flush(records):
     return [i for i, r in enumerate(records) if r[0] == "E"][4095] + 1
 
 
-@pytest.mark.parametrize("chunk", [S._CHUNK, 7])
-def test_corpus_sweep_equals_the_old_sweep(chunk, capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("chunk,cells", [(S._CHUNK, S._SOLVE_CELLS), (7, S._SOLVE_CELLS), (S._CHUNK, 1)],
+                         ids=[str(S._CHUNK), "7", "one_row_batches"])
+def test_corpus_sweep_equals_the_old_sweep(chunk, cells, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(S, "_CHUNK", chunk)
+    monkeypatch.setattr(S, "_SOLVE_CELLS", cells)
     path = tmp_path / "corpus.g6"
     _write(path, _seeded_corpus(0x6F))
     code, out, err, dump = _both(capsys, monkeypatch, tmp_path, path)
@@ -300,6 +306,48 @@ def test_midfile_error_equals_the_old_sweep(kind, capsys, monkeypatch, tmp_path)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}:{cut + 1}: ")
     assert dump.count(b"\n") == 1 + 4096  # the header and the batch flushed before the error
+
+
+@pytest.mark.parametrize("chunk", [S._CHUNK, 7])
+@pytest.mark.parametrize("offset,flushed", [(-1, 0), (0, 4096)])
+def test_error_beside_a_flush_equals_the_old_sweep(offset, flushed, chunk, capsys, monkeypatch, tmp_path):
+    # The bad line comes just before or just after the record that fills
+    # order 6's first batch, in the chunk that record is decoded in.
+    monkeypatch.setattr(S, "_CHUNK", chunk)
+    records = _seeded_corpus(0x74)
+    cut = _after_first_flush(records) + offset
+    records.insert(cut, MIDFILE["bad_byte"])
+    path = tmp_path / "corpus.g6"
+    _write(path, records)
+    code, out, err, dump = _both(capsys, monkeypatch, tmp_path, path)
+    assert code == 2 and err.startswith(f"error: {path}:{cut + 1}: ")
+    assert dump.count(b"\n") == 1 + flushed
+
+
+def test_fallback_record_filling_a_batch_equals_the_old_sweep(capsys, monkeypatch, tmp_path):
+    # Header records take the scalar path; the first one fills order 6's
+    # first batch and the second one opens its next buffer.
+    records = _seeded_corpus(0x75)
+    cut = _after_first_flush(records)
+    records[cut - 1] = ">>graph6<<" + records[cut - 1]
+    records.insert(cut, ">>graph6<<" + next(r for r in records[cut:] if r[0] == "E"))
+    path = tmp_path / "corpus.g6"
+    _write(path, records)
+    code, out, err, dump = _both(capsys, monkeypatch, tmp_path, path)
+    assert code == 0 and err == ""
+    assert dump.count(b"\n") == 1 + 5201
+
+
+def test_interleaved_flushes_equal_the_old_sweep(capsys, monkeypatch, tmp_path):
+    # In one chunk order 4 fills two batches and order 5 one, between them.
+    rng = random.Random(0x76)
+    orders = [4] * 8300 + [5] * 4200 + [rng.choice([3, 7]) for _ in range(300)]
+    rng.shuffle(orders)
+    path = tmp_path / "corpus.g6"
+    _write(path, [write_graph6(random_graph(rng, n, rng.random())) for n in orders])
+    code, out, err, dump = _both(capsys, monkeypatch, tmp_path, path)
+    assert code == 0 and err == ""
+    assert dump.count(b"\n") == 1 + len(orders)
 
 
 def test_skip_bad_equals_the_old_sweep(capsys, monkeypatch, tmp_path):
@@ -336,14 +384,34 @@ def test_headers_crlf_long_form_and_tiny_orders(capsys, monkeypatch, tmp_path):
         assert s == write_graph6(parse_graph6(s))
 
 
-def test_stream_corpus_yields_the_old_graphs(tmp_path):
+def test_corpus_records_yield_the_old_graphs(tmp_path):
     records = _seeded_corpus(0x73)[:300]
     records[100:100] = list(MIDFILE.values()) + [">>graph6<<Bw", write_graph6(Graph.cycle(64))]
     path = tmp_path / "corpus.g6"
     _write(path, records)
-    assert list(S.stream_corpus(str(path), "skip")) == list(old_stream_corpus(str(path), "skip"))
+    assert corpus_graphs(path, "skip") == list(old_stream_corpus(str(path), "skip"))
     with pytest.raises(Graph6Error) as want:
         list(old_stream_corpus(str(path)))
     with pytest.raises(Graph6Error) as got:
-        list(S.stream_corpus(str(path)))
+        corpus_graphs(path)
     assert str(got.value) == str(want.value)
+
+
+def test_corpus_sweep_memory_is_bits_strings_and_one_sub_batch(tmp_path):
+    # 12,000 records of order 20 in one chunk: the order fills two batches
+    # and leaves 3,808 rows to the end.  The pair bits and the record
+    # strings are held; a 4,096-row float64 batch (13 MB) must not be.
+    rng = random.Random(0x77)
+    records = [mask_graph6(20, rng.getrandbits(190)) for _ in range(12000)]
+    path = tmp_path / "corpus.g6"
+    _write(path, records)
+    held = len(records) * 190 + sum(map(sys.getsizeof, records))
+    tracemalloc.start()
+    try:
+        reports = S.sweep(S.corpus_records(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [rep.graph_count for rep in reports] == [12000]
+    assert peak < 2 * (held + 8 * S._SOLVE_CELLS)  # 9.0 of 10.7 MB here; the per-record buffers took 24 MB
+

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from huckel.bounds import lemma1_check, lower_bound, upper_bound, upper_bound_applies, upper_bound_order
+from conftest import corpus_graphs, graph_records
 from huckel.graphs import Graph, add_isolated_vertex, mask_graph6, pair_order, parse_graph6
 from huckel.spectra import DUST_TOL, TIGHT_TOL, energy
 from huckel.sweep import (
@@ -20,8 +21,8 @@ from huckel.sweep import (
     SweepReport,
     _batch_connected,
     _mask_batch,
+    corpus_records,
     default_jobs,
-    stream_corpus,
     sweep,
     sweep_labeled,
 )
@@ -228,36 +229,36 @@ def test_corpus_dump_columns_match_the_per_row_writer(tmp_path, monkeypatch):
     # Orders 0 and 1 leave the bound columns blank.
     graphs = [Graph.empty(0), Graph.empty(1), Graph.complete(2), Graph.empty(2), Graph.path(3),
               Graph.star(5), Graph.cycle(5), add_isolated_vertex(Graph.complete(4)), Graph.complete(6)]
-    new, old = _dumps(lambda path: sweep(graphs, dump_path=path), tmp_path, monkeypatch)
+    new, old = _dumps(lambda path: sweep(graph_records(graphs), dump_path=path), tmp_path, monkeypatch)
     assert new.count(b"\n") == len(graphs) + 1
     assert new == old
 
 
-def test_stream_corpus(tmp_path):
+def test_corpus_records(tmp_path):
     path = tmp_path / "corpus.g6"
     path.write_text("Bw\n\nC~\n  Dhc  \n")
-    graphs = list(stream_corpus(str(path)))
+    graphs = corpus_graphs(path)
     assert [g.n for g in graphs] == [3, 4, 5]
     assert graphs[0] == Graph.complete(3)
 
     bad = tmp_path / "bad.g6"
     bad.write_text("Bw\n:junk\nC~\n")
     with pytest.raises(Exception, match=r"bad\.g6:2"):
-        list(stream_corpus(str(bad)))
-    assert [g.n for g in stream_corpus(str(bad), on_error="skip")] == [3, 4]
+        corpus_graphs(bad)
+    assert [g.n for g in corpus_graphs(bad, on_error="skip")] == [3, 4]
     with pytest.raises(ValueError, match="on_error"):
-        list(stream_corpus(str(bad), on_error="ignore"))
+        list(corpus_records(str(bad), on_error="ignore"))
 
 
 def test_sweep_stream_matches_exhaustive():
-    reports = sweep(parse_graph6(mask_graph6(4, mask)) for mask in range(1 << 6))
+    reports = sweep(graph_records(parse_graph6(mask_graph6(4, mask)) for mask in range(1 << 6)))
     assert len(reports) == 1
     assert reports[0].to_dict() == sweep_labeled(4).to_dict()
 
 
 def test_sweep_stream_groups_orders():
     mixed = [Graph.complete(3), Graph.cycle(5), Graph.star(3), Graph.complete(4)]
-    reports = sweep(mixed)
+    reports = sweep(graph_records(mixed))
     assert [rep.n for rep in reports] == [3, 4, 5]
     assert [rep.graph_count for rep in reports] == [2, 1, 1]
     assert sum(rep.total_violations for rep in reports) == 0
