@@ -195,7 +195,8 @@ def corpus_records(path: str, on_error: str = "raise") -> Iterator[List[Segment]
 
             lo = 0
             for i in np.flatnonzero(order < 0).tolist():
-                yield section(lo, i)
+                if i > lo:
+                    yield section(lo, i)
                 lo = i + 1
                 try:
                     n, bits, g6 = decode_graph6(records[i])
