@@ -9,14 +9,12 @@ regular families.
 from .graphs import (
     Graph,
     Graph6Error,
-    GraphStats,
     add_duplicate_vertex,
     add_isolated_vertex,
     complement,
     disjoint_union,
     parse_graph6,
     seidel_switch,
-    stats,
     write_graph6,
 )
 from .spectra import (
@@ -38,11 +36,7 @@ from .bounds import (
     scan_order_bound,
     upper_bound,
     upper_bound_applies,
-    upper_bound_even,
-    upper_bound_odd,
     upper_bound_order,
-    upper_bound_order_even,
-    upper_bound_order_odd,
 )
 from .srg import (
     InfeasibleParamsError,
@@ -56,7 +50,6 @@ from .srg import (
 from .gf import (
     FiniteField,
     is_prime_power,
-    is_square,
     make_field,
     subfield_coset_partition,
 )

@@ -51,11 +51,10 @@ def _checked_sqrt(x, scale, what: str):
     return math.sqrt(x)
 
 
-def _validate_nm(n: int, m, parity: int) -> None:
-    """Raise unless n >= 2 has the given parity and every size m (a scalar or
-    an array) lies in 0..C(n,2)."""
-    if n < 2 or n % 2 != parity:
-        raise ValueError(f"n={n} must be {'even' if parity == 0 else 'odd'} and >= 2")
+def _validate_nm(n: int, m) -> None:
+    """Raise unless n >= 2 and every size m (a scalar or an array) is in 0..C(n,2)."""
+    if n < 2:
+        raise ValueError(f"n={n} must be >= 2")
     for extreme in (np.min(m), np.max(m)) if isinstance(m, np.ndarray) else (m,):
         if extreme < 0 or extreme > n * (n - 1) // 2:
             raise ValueError(f"m={extreme} out of range for n={n}")
@@ -85,12 +84,13 @@ def _last_first_m(n: int) -> int:
     return n * n * (n - 3) ** 2 // (2 * (n * n - 4 * n + 11))
 
 
-def _upper(n: int, m, parity: int):
-    """upper_bound at an order of the given parity.  An array m is evaluated
-    one regime at a time through the scalar formula code, so each value is
-    the scalar one bit for bit (see _branch_max)."""
-    _validate_nm(n, m, parity)
-    value = _upper_even_value if parity == 0 else _upper_odd_value
+def upper_bound(n: int, m) -> Tuple[float, str]:
+    """Upper bound on HE at order n and size m, with its regime tag; the
+    threshold (_last_first_m) is exact on integers.  An integer array m gives
+    arrays of bounds and tags, computed per regime by the scalar formula code,
+    so each value is the scalar one bit for bit (see _branch_max)."""
+    _validate_nm(n, m)
+    value = _upper_even_value if n % 2 == 0 else _upper_odd_value
     first = m <= _last_first_m(n)
     if not isinstance(m, np.ndarray):
         return value(n, m, first), (REGIME_FIRST if first else REGIME_SECOND)
@@ -98,23 +98,6 @@ def _upper(n: int, m, parity: int):
     vals[first] = value(n, mf[first], True)
     vals[~first] = value(n, mf[~first], False)
     return vals, np.where(first, REGIME_FIRST, REGIME_SECOND)
-
-
-def upper_bound_even(n: int, m) -> Tuple[float, str]:
-    """upper_bound for even n."""
-    return _upper(n, m, 0)
-
-
-def upper_bound_odd(n: int, m) -> Tuple[float, str]:
-    """upper_bound for odd n."""
-    return _upper(n, m, 1)
-
-
-def upper_bound(n: int, m) -> Tuple[float, str]:
-    """Upper bound on HE at order n and size m, with the regime tag that
-    applied; the regime threshold (_last_first_m) is decided exactly on
-    integers.  For an integer array m, an array of bounds and one of tags."""
-    return _upper(n, m, n % 2)
 
 
 def upper_bound_applies(n: int, m) -> bool:
@@ -128,23 +111,15 @@ def upper_bound_applies(n: int, m) -> bool:
     return (m >= n - 1) | (n % 2 == 0)
 
 
-def upper_bound_order_even(n: int) -> float:
-    """Order-only upper bound for even n: (n/2)(1 + sqrt(n-1))."""
-    if n < 2 or n % 2:
-        raise ValueError(f"n={n} must be even and >= 2")
-    return n / 2.0 * (1.0 + math.sqrt(n - 1.0))
-
-
-def upper_bound_order_odd(n: int) -> float:
-    """Order-only upper bound for odd n: (n/2)(1 + sqrt(n) - 1/sqrt(n))."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"n={n} must be odd and >= 1")
+def upper_bound_order(n: int) -> float:
+    """Order-only upper bound for n >= 1: (n/2)(1 + sqrt(n-1)) for even n,
+    (n/2)(1 + sqrt(n) - 1/sqrt(n)) for odd n."""
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
+    if n % 2 == 0:
+        return n / 2.0 * (1.0 + math.sqrt(n - 1.0))
     rn = math.sqrt(float(n))
     return n / 2.0 * (1.0 + rn - 1.0 / rn)
-
-
-def upper_bound_order(n: int) -> float:
-    return upper_bound_order_even(n) if n % 2 == 0 else upper_bound_order_odd(n)
 
 
 def lower_bound(n: int) -> float:
@@ -165,7 +140,7 @@ def intermediate_bounds(n: int, m, alpha, beta=None):
     n=3 the 3-vertex path already slips below f1).  m, alpha and beta are
     scalars, or arrays of one batch (see _checked_sqrt).
     """
-    _validate_nm(n, m, n % 2)
+    _validate_nm(n, m)
     if n % 2 == 0:
         beta = 0.0
     if not isinstance(alpha, np.ndarray) and alpha + beta * beta > 2.0 * m + DUST_TOL * max(1.0, 2.0 * m):
@@ -362,14 +337,12 @@ def scan_order_bound(n: int) -> dict:
     if even:
         m_opt = n * (n - 1 + math.sqrt(n - 1.0)) / 4.0
         val_at_opt = _upper_even_value(n, m_opt, True)
-        order = upper_bound_order_even(n)
     else:
         m_opt = n * (n - 1 + math.sqrt(float(n))) / 4.0
         val_at_opt = _upper_odd_value(n, m_opt, True)
-        order = upper_bound_order_odd(n)
     return {
         "n": n,
-        "order_bound": order,
+        "order_bound": upper_bound_order(n),
         "scan_max": best_val,
         "scan_argmax": best_m,
         "scan_max_first": best_val_first,

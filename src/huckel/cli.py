@@ -2,7 +2,7 @@
 strongly regular families, run verification sweeps, and tabulate bounds.
 
 All outputs are JSON with sorted keys and floats at 12 significant digits.
-Exit codes: 0 success, 1 verification violations, 2 usage or parse errors.
+Exit codes: 0 success, 1 verification violations, 2 usage, parse or I/O errors.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -325,7 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:  # an output that cannot be written: a closed pipe, a full disk, a bad --cert path
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself failed: send what is left to devnull, so the exit flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

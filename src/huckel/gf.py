@@ -17,17 +17,6 @@ import numpy as np
 _TABLE_LIMIT = 10 ** 4
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def is_prime_power(q: int) -> Optional[Tuple[int, int]]:
     """Return (p, e) with q = p^e and p prime, or None."""
     if q < 2:
@@ -79,7 +68,7 @@ class FiniteField:
     """GF(p^e).  Use make_field; the constructor does the full table build."""
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
+        if is_prime_power(p) != (p, 1):
             raise ValueError(f"p={p} is not prime")
         if e < 1:
             raise ValueError(f"e={e} must be >= 1")
@@ -100,7 +89,6 @@ class FiniteField:
         self.log: List[int] = [0] * q  # log[0] unused
         for i, x in enumerate(self.exp):
             self.log[x] = i
-        self._generator = g
 
     # ── construction helpers ────────────────────────────────────────────
 
@@ -244,9 +232,6 @@ class FiniteField:
             return True
         return self.log[x] % 2 == 0
 
-    def primitive_element(self) -> int:
-        return self._generator
-
     def difference_table(self) -> np.ndarray:
         """(q, q) int32 array holding a - b at [a, b], built digit by digit."""
         x = np.arange(self.order, dtype=np.int32)
@@ -266,10 +251,6 @@ class FiniteField:
 
 def make_field(p: int, e: int) -> FiniteField:
     return FiniteField(p, e)
-
-
-def is_square(f: FiniteField, x: int) -> bool:
-    return f.is_square(x)
 
 
 def subfield_coset_partition(big: FiniteField, q: int) -> List[Tuple[int, ...]]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
 
@@ -95,9 +94,6 @@ class Graph:
             raise ValueError("star needs n >= 1")
         return cls(n, [(center, v) for v in range(n) if v != center])
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
-
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
@@ -120,23 +116,10 @@ class Graph:
 
     def dense(self) -> np.ndarray:
         """Adjacency matrix as a float64 numpy array."""
-        return dense_batch((self,), self.n)[0]
-
-    def is_connected(self) -> bool:
-        """Bitmask flood fill from vertex 0; the empty graph counts as connected."""
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= self.rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= reach
-        return seen == (1 << self.n) - 1
+        n, width = self.n, (self.n + 7) // 8
+        packed = b"".join(r.to_bytes(width, "little") for r in self.rows)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+        return bits.reshape(n, 8 * width)[:, :n].astype(np.float64)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -146,35 +129,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def dense_batch(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """Adjacency matrices of graphs of order n as one (B, n, n) float64 array,
-    unpacked from the bit rows in bulk."""
-    if any(g.n != n for g in graphs):
-        raise ValueError(f"dense_batch needs graphs of order {n}")
-    width = (n + 7) // 8
-    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    return bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(np.float64)
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    m: int
-    degrees: Tuple[int, ...]
-    is_regular: bool
-    has_isolated: bool
-
-
-def stats(g: Graph) -> GraphStats:
-    degs = tuple(g.degrees())
-    return GraphStats(
-        m=sum(degs) // 2,
-        degrees=degs,
-        is_regular=len(set(degs)) <= 1,
-        has_isolated=any(d == 0 for d in degs),
-    )
 
 
 def complement(g: Graph) -> Graph:

@@ -23,11 +23,7 @@ from huckel.bounds import (
     scan_order_bound,
     upper_bound,
     upper_bound_applies,
-    upper_bound_even,
-    upper_bound_odd,
     upper_bound_order,
-    upper_bound_order_even,
-    upper_bound_order_odd,
     violated,
 )
 from huckel.spectra import eigenvalues, energy_values
@@ -45,10 +41,9 @@ SEEDS = [0xB01, 0xB02, 0xB03]
     ],
 )
 def test_upper_bound_even_values(n, m, value, regime):
-    got, got_regime = upper_bound_even(n, m)
+    got, got_regime = upper_bound(n, m)
     assert got == pytest.approx(value, abs=1e-12)
     assert got_regime == regime
-    assert upper_bound(n, m) == (got, got_regime)
 
 
 @pytest.mark.parametrize(
@@ -60,36 +55,32 @@ def test_upper_bound_even_values(n, m, value, regime):
     ],
 )
 def test_upper_bound_odd_values(n, m, value, regime):
-    got, got_regime = upper_bound_odd(n, m)
+    got, got_regime = upper_bound(n, m)
     assert got == pytest.approx(value, abs=1e-12)
     assert got_regime == regime
-    assert upper_bound(n, m) == (got, got_regime)
 
 
 def test_upper_bound_regime_thresholds():
     # Even: the first regime applies exactly while 2m(n+2) <= n^3.
     for n in (4, 6, 10):
         cut = n ** 3 // (2 * (n + 2))
-        assert upper_bound_even(n, cut)[1] == "first"
-        assert upper_bound_even(n, min(cut + 1, n * (n - 1) // 2))[1] == "second"
+        assert upper_bound(n, cut)[1] == "first"
+        assert upper_bound(n, min(cut + 1, n * (n - 1) // 2))[1] == "second"
     # Odd: first regime while 2m(n^2 - 4n + 11) <= n^2 (n-3)^2.
     for n in (7, 9, 11):
         cut = n * n * (n - 3) ** 2 // (2 * (n * n - 4 * n + 11))
-        assert upper_bound_odd(n, cut)[1] == "first"
-        assert upper_bound_odd(n, cut + 1)[1] == "second"
+        assert upper_bound(n, cut)[1] == "first"
+        assert upper_bound(n, cut + 1)[1] == "second"
 
 
 def test_upper_bound_validation():
-    with pytest.raises(ValueError):
-        upper_bound_even(5, 4)  # parity mismatch
-    with pytest.raises(ValueError):
-        upper_bound_odd(4, 3)
-    with pytest.raises(ValueError):
-        upper_bound_even(4, 7)  # m beyond the complete graph
-    with pytest.raises(ValueError):
-        upper_bound_odd(5, -1)
-    with pytest.raises(ValueError):
-        upper_bound_even(0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        upper_bound(4, 7)  # m beyond the complete graph
+    with pytest.raises(ValueError, match="out of range"):
+        upper_bound(5, -1)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"n={n} must be >= 2"):
+            upper_bound(n, 0)
 
 
 def _first_by_integer_test(n, m):
@@ -130,7 +121,7 @@ def test_upper_bound_applies():
     # Two disjoint edges plus an isolated vertex: HE above the odd formula.
     g = add_isolated_vertex(Graph(4, [(0, 1), (2, 3)]))
     he = energy_values(eigenvalues(g)).huckel
-    assert he > upper_bound_odd(5, 2)[0]
+    assert he > upper_bound(5, 2)[0]
 
 
 @pytest.mark.parametrize(
@@ -142,13 +133,12 @@ def test_order_bound_values(n, value):
 
 
 def test_order_bound_closed_forms():
-    assert upper_bound_order_even(12) == pytest.approx(6.0 * (1.0 + math.sqrt(11.0)), abs=1e-12)
+    assert upper_bound_order(12) == pytest.approx(6.0 * (1.0 + math.sqrt(11.0)), abs=1e-12)
     rn = math.sqrt(7.0)
-    assert upper_bound_order_odd(7) == pytest.approx(3.5 * (1.0 + rn - 1.0 / rn), abs=1e-12)
-    with pytest.raises(ValueError):
-        upper_bound_order_even(7)
-    with pytest.raises(ValueError):
-        upper_bound_order_odd(8)
+    assert upper_bound_order(7) == pytest.approx(3.5 * (1.0 + rn - 1.0 / rn), abs=1e-12)
+    assert upper_bound_order(1) == 0.5
+    with pytest.raises(ValueError, match="n=0 must be >= 1"):
+        upper_bound_order(0)
 
 
 def test_lower_bound_values():

@@ -388,3 +388,53 @@ def test_verify_and_analyze_do_not_import_numpy_ma():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+# ─── output failures: exit 2 and one error line, never a traceback ─────────
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _cli(argv, **kwargs) -> subprocess.Popen:
+    """Start the CLI as its own program, with this checkout's src on the path
+    and stdout block-buffered, as Python leaves it for a pipe or a file."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "huckel.cli", *argv], env=env, stderr=subprocess.PIPE,
+                            text=True, **kwargs)
+
+
+def _assert_io_error(proc: subprocess.Popen, err: str) -> None:
+    assert proc.wait() == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_unwritable_cert_is_an_io_error(tmp_path):
+    proc = _cli(["construct", "extremal", "--t", "1", "--cert", str(tmp_path / "missing" / "c.json")],
+                stdout=subprocess.PIPE)
+    out, err = proc.communicate()
+    _assert_io_error(proc, err)
+    assert "No such file or directory" in err
+    assert out == (GOLDEN / "construct_extremal_t1.stdout").read_text()
+
+
+@pytest.mark.parametrize("argv", [["analyze", str(GOLDEN / "corpus.g6")], ["verify", "--n", "5"]])
+def test_closed_stdout_pipe_is_an_io_error(argv):
+    proc = _cli(argv, stdout=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    _assert_io_error(proc, err)
+    assert "Broken pipe" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_stdout_device_is_an_io_error():
+    with open("/dev/full", "w") as full:
+        proc = _cli(["bound", "--n", "9"], stdout=full)
+        err = proc.stderr.read()
+        proc.stderr.close()
+    _assert_io_error(proc, err)
+    assert "No space left on device" in err

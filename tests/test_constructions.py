@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from huckel.bounds import upper_bound_order_even
+from huckel.bounds import upper_bound_order
 from huckel.constructions import (
     ConstructionError,
     _paley_from_field,
@@ -69,7 +69,7 @@ def test_extremal_he_attains_order_bound():
     for t in (1, 2):
         ext = build_extremal_srg(t)
         he = energy_values(eigenvalues(ext)).huckel
-        assert he == pytest.approx(upper_bound_order_even(ext.n), abs=1e-8)
+        assert he == pytest.approx(upper_bound_order(ext.n), abs=1e-8)
 
 
 def test_switched_family_needs_prime_power():

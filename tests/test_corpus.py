@@ -1,8 +1,8 @@
 """The bulk graph6 decoder and the corpus sweep, against the per-record code
 they replaced.
 
-The bit-by-bit parser, the mask-to-Graph witness encoder and the
-Graph-at-a-time corpus sweep live on here only as oracles.
+The bit-by-bit parser, the mask-to-Graph witness encoder, the bulk Graph
+unpacker and the Graph-at-a-time corpus sweep live on here only as oracles.
 """
 
 import functools
@@ -21,7 +21,6 @@ from huckel.graphs import (
     Graph,
     Graph6Error,
     decode_graph6_batch,
-    dense_batch,
     graph6_records,
     mask_graph6,
     pair_batch,
@@ -115,6 +114,15 @@ def old_stream_corpus(path, on_error="raise"):
                     raise Graph6Error(f"{path}:{ln}: {exc}") from exc
 
 
+def dense_batch(graphs, n):
+    """Adjacency matrices of Graphs of order n as one (B, n, n) float64 array,
+    unpacked from the bit rows in bulk."""
+    width = (n + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(np.float64)
+
+
 def old_sweep(graphs, checks=S.ALL_CHECKS, tol=VIOLATION_TOL, witness_tol=TIGHT_TOL, dump_path=None):
     """The Graph-at-a-time corpus sweep: per-order Graph buffers, dense_batch
     at each flush, write_graph6 for each reported string."""
@@ -200,7 +208,7 @@ def test_decode_graph6_batch_takes_exactly_the_canonical_short_records():
 def test_pair_batch_is_the_dense_batch():
     for n in (0, 1, 2, 7, 20):
         graphs = _seeded_graphs(n, [n])
-        bits = np.array([[g.has_edge(i, j) for i, j in pair_order(n)] for g in graphs], dtype=np.uint8)
+        bits = np.array([[g.rows[i] >> j & 1 for i, j in pair_order(n)] for g in graphs], dtype=np.uint8)
         a = pair_batch(n, bits)
         assert a.dtype == np.float64 and np.array_equal(a, dense_batch(graphs, n))
         assert all(np.array_equal(pair_bits(g), row) for g, row in zip(graphs, bits))

@@ -7,7 +7,6 @@ import pytest
 from huckel.gf import (
     FiniteField,
     is_prime_power,
-    is_square,
     make_field,
     subfield_coset_partition,
 )
@@ -27,8 +26,9 @@ def test_is_prime_power():
 
 
 def test_construction_errors():
-    with pytest.raises(ValueError):
-        make_field(4, 1)  # p not prime
+    for p in (0, 1, 4, 6, 9):
+        with pytest.raises(ValueError, match=f"p={p} is not prime"):
+            make_field(p, 1)
     with pytest.raises(ValueError):
         make_field(2, 0)
     with pytest.raises(ValueError):
@@ -44,9 +44,9 @@ def test_deterministic_moduli():
 
 
 def test_deterministic_primitive_elements():
-    assert make_field(5, 1).primitive_element() == 2
+    assert make_field(5, 1).exp[1] == 2
     f9 = make_field(3, 2)
-    assert f9.primitive_element() == 4
+    assert f9.exp[1] == 4
     assert f9.coeffs(4) == (1, 1)  # x + 1 generates GF(9)*
 
 
@@ -105,7 +105,7 @@ def test_is_square_matches_brute_force(p, e):
     f = make_field(p, e)
     squares = {f.mul(x, x) for x in range(f.order)}
     for x in range(f.order):
-        assert is_square(f, x) == (x in squares)
+        assert f.is_square(x) == (x in squares)
     # Exactly (q-1)/2 nonzero squares in odd characteristic.
     assert len(squares) - 1 == (f.order - 1) // 2
 

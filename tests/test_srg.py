@@ -4,7 +4,7 @@ import pytest
 
 from huckel.constructions import build_extremal_srg, build_switched_srg, paley_graph
 from huckel.graphs import Graph, complement, parse_graph6
-from huckel.bounds import upper_bound_order_even
+from huckel.bounds import upper_bound_order
 from huckel.spectra import eigenvalues, group_spectrum, huckel_energy
 from huckel.srg import (
     InfeasibleParamsError,
@@ -106,7 +106,7 @@ def test_family_params(t):
 def test_predicted_extremal_he_attains_order_bound(t):
     n = 4 * t * t + 4 * t + 2
     he = predicted_extremal_he(t)
-    assert he == pytest.approx(upper_bound_order_even(n), abs=1e-9)
+    assert he == pytest.approx(upper_bound_order(n), abs=1e-9)
     # Cross-check against the predicted spectrum: HE = 2(k + r*f_top_half)...
     spec = predicted_spectrum(extremal_family_params(t))
     flat = [v for v, mult in spec for _ in range(mult)]
