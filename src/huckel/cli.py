@@ -105,11 +105,7 @@ def _analyze_record(record: tuple, tol: float) -> dict:
 
 def _cmd_analyze(args) -> int:
     if args.file and args.file != "-":
-        try:
-            fh = open(args.file, "r", encoding="latin-1")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        fh = open(args.file, "r", encoding="latin-1")
         release = fh.close
     elif hasattr(sys.stdin, "buffer"):
         # stdin's bytes are read as latin-1 like a file's, so a non-ASCII
@@ -242,7 +238,7 @@ def _cmd_verify(args) -> int:
         else:
             graphs = corpus_records(args.corpus, on_error="skip" if args.skip_bad else "raise")
             reports = sweep(graphs, checks=checks, tol=args.tol, dump_path=args.dump)
-    except (ValueError, Graph6Error, OSError) as exc:
+    except (ValueError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     total = sum(r.total_violations for r in reports)
@@ -329,7 +325,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except OSError as exc:  # an output that cannot be written: a closed pipe, a full disk, a bad --cert path
+    except OSError as exc:  # a file that cannot be read or written, a closed pipe, a full disk
         try:
             sys.stdout.flush()
         except OSError:  # stdout itself failed: send what is left to devnull, so the exit flush is quiet

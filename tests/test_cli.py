@@ -118,6 +118,13 @@ def test_analyze_missing_file(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_verify_unreadable_corpus_and_unwritable_dump(capsys, tmp_path):
+    for argv in (["verify", "--corpus", str(tmp_path / "none.g6")],
+                 ["verify", "--n", "4", "--dump", str(tmp_path / "missing" / "d.csv")]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_construct_switched(capsys):
     code, out, err = run(capsys, ["construct", "switched", "--t", "1"])
     assert code == 0
