@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int, help="exhaustive sweep over all labeled graphs of this order (at most 8)")
     group.add_argument("--corpus", help="graph6 file to sweep")
     p.add_argument("--checks", help=f"comma-separated subset of: {','.join(ALL_CHECKS)}")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default HUCKEL_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--tol", type=_tolerance, default=VIOLATION_TOL, help="violation tolerance (relative)")
     p.add_argument("--dump", help="write per-graph CSV rows to this file (serial only)")
     p.add_argument("--skip-bad", action="store_true", help="skip malformed corpus records")

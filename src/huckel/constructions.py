@@ -10,7 +10,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .graphs import Graph, add_duplicate_vertex, add_isolated_vertex, complement, seidel_switch
+from .graphs import _ORDER_MAX, Graph, add_duplicate_vertex, add_isolated_vertex, complement, seidel_switch
 from .gf import FiniteField, is_prime_power, make_field, subfield_coset_partition
 from .spectra import SOLVER_TOL, TIGHT_TOL, Spectrum, eigenvalues
 from .srg import extremal_family_params, srg_params, switched_family_params
@@ -36,6 +36,8 @@ def paley_graph(q: int, adjacency: str = "square") -> Graph:
     square (or a nonsquare, per the adjacency flag).  q = 1 mod 4 makes -1 a
     square, so the relation is symmetric.
     """
+    if q > _ORDER_MAX:
+        raise ConstructionError(f"q={q} gives a graph of order {q}, above the order limit {_ORDER_MAX}")
     pp = is_prime_power(q)
     if pp is None:
         raise ConstructionError(f"q={q} is not a prime power")
@@ -55,6 +57,8 @@ def build_switched_srg(t: int) -> Graph:
     if t < 1:
         raise ValueError("t must be >= 1")
     q = 2 * t + 1
+    if q * q + 1 > _ORDER_MAX:
+        raise ConstructionError(f"t={t} gives a graph of order {q * q + 1}, above the order limit {_ORDER_MAX}")
     pp = is_prime_power(q)
     if pp is None:
         raise ConstructionError(f"construction requires q = 2t+1 to be a prime power; q={q} is not")

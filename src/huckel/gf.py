@@ -19,22 +19,17 @@ _TABLE_LIMIT = 10 ** 4
 
 def is_prime_power(q: int) -> Optional[Tuple[int, int]]:
     """Return (p, e) with q = p^e and p prime, or None."""
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
-        if q % p:
-            continue
-        e, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        return (p, e) if rest == 1 else None
-    return (q, 1)  # q itself prime (no divisor <= sqrt(q))
+    p, e = primes[0], 1
+    while p ** e < q:
+        e += 1
+    return p, e
 
 
 def _prime_factors(n: int) -> List[int]:
+    """The distinct prime factors of n, ascending, by trial division; [] for n < 2."""
     out = []
     d = 2
     while d * d <= n:

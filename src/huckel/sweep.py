@@ -16,7 +16,7 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -57,54 +57,54 @@ Segment = Tuple[int, np.ndarray, List[str], np.ndarray]
 
 @dataclass
 class CheckTally:
+    """One check's results over a set of graphs.  witnesses holds the smallest
+    _WITNESS_CAP distinct graph6 strings among the check's witnesses, so it
+    does not depend on the order in which graphs or parts are met;
+    witness_count counts them all.  examples holds the first _VIOLATION_CAP
+    violations met, and histogram counts applicable graphs per slack bin."""
+
     checked: int = 0
     holds: int = 0
     violated: int = 0
     not_applicable: int = 0
+    min_slack: Optional[float] = None
+    witnesses: List[str] = field(default_factory=list)
+    witness_count: int = 0
+    examples: List[str] = field(default_factory=list)
+    histogram: Dict[int, int] = field(default_factory=dict)
 
     def add(self, other: "CheckTally") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def to_dict(self) -> Dict[str, int]:
-        return asdict(self)
+        self.checked += other.checked
+        self.holds += other.holds
+        self.violated += other.violated
+        self.not_applicable += other.not_applicable
+        if other.min_slack is not None:
+            self.min_slack = other.min_slack if self.min_slack is None else min(self.min_slack, other.min_slack)
+        if other.witnesses:
+            self.witnesses = sorted(set(self.witnesses).union(other.witnesses))[:_WITNESS_CAP]
+        self.witness_count += other.witness_count
+        self.examples.extend(other.examples[:_VIOLATION_CAP - len(self.examples)])
+        for b, c in other.histogram.items():
+            self.histogram[b] = self.histogram.get(b, 0) + c
 
 
 @dataclass
 class SweepReport:
-    """Verification results for all graphs of one order.
-
-    equality_witnesses[check] holds the smallest _WITNESS_CAP distinct graph6
-    strings among the check's witnesses, so it does not depend on the order in
-    which graphs or parts are met; witness_counts[check] counts them all.
-    """
+    """Verification results for all graphs of one order, one CheckTally per check."""
 
     n: int
     graph_count: int = 0
     checks: Dict[str, CheckTally] = field(default_factory=dict)
-    min_slack: Dict[str, Optional[float]] = field(default_factory=dict)
-    equality_witnesses: Dict[str, List[str]] = field(default_factory=dict)
-    witness_counts: Dict[str, int] = field(default_factory=dict)
-    violation_examples: Dict[str, List[str]] = field(default_factory=dict)
-    slack_histogram: Dict[str, Dict[int, int]] = field(default_factory=dict)
     solver_failures: List[str] = field(default_factory=list)
 
     @classmethod
     def for_checks(cls, n: int, checks: Sequence[str]) -> "SweepReport":
-        rep = cls(n=n)
-        for check in checks:
-            rep._entry(check)
-        return rep
+        return cls(n=n, checks={check: CheckTally() for check in checks})
 
-    def _entry(self, check: str) -> CheckTally:
-        if check not in self.checks:
-            self.checks[check] = CheckTally()
-            self.min_slack[check] = None
-            self.equality_witnesses[check] = []
-            self.witness_counts[check] = 0
-            self.violation_examples[check] = []
-            self.slack_histogram[check] = {}
-        return self.checks[check]
+    @property
+    def witness_counts(self) -> Dict[str, int]:
+        # Read-only view kept for perfbench's tracer, which sums its values.
+        return {c: t.witness_count for c, t in self.checks.items()}
 
     @property
     def total_violations(self) -> int:
@@ -115,21 +115,7 @@ class SweepReport:
             raise ValueError("cannot merge reports of different orders")
         self.graph_count += other.graph_count
         for check, tally in other.checks.items():
-            self._entry(check).add(tally)
-            om = other.min_slack.get(check)
-            if om is not None:
-                mine = self.min_slack[check]
-                self.min_slack[check] = om if mine is None else min(mine, om)
-            theirs = other.equality_witnesses.get(check, [])
-            if theirs:
-                mine = self.equality_witnesses[check]
-                self.equality_witnesses[check] = sorted(set(mine).union(theirs))[:_WITNESS_CAP]
-            self.witness_counts[check] += other.witness_counts.get(check, 0)
-            ve = self.violation_examples[check]
-            ve.extend(other.violation_examples.get(check, [])[: _VIOLATION_CAP - len(ve)])
-            hist = self.slack_histogram[check]
-            for b, c in other.slack_histogram.get(check, {}).items():
-                hist[b] = hist.get(b, 0) + c
+            self.checks.setdefault(check, CheckTally()).add(tally)
         self.solver_failures.extend(other.solver_failures)
 
     def finalize(self) -> "SweepReport":
@@ -137,23 +123,18 @@ class SweepReport:
         return self
 
     def to_dict(self) -> dict:
+        tallies = sorted(self.checks.items())
         return {
             "n": self.n,
             "graph_count": self.graph_count,
             "violations": self.total_violations,
-            "checks": {c: t.to_dict() for c, t in sorted(self.checks.items())},
-            "min_slack": {c: self.min_slack[c] for c in sorted(self.min_slack)},
-            "equality_witnesses": {
-                c: self.equality_witnesses[c] for c in sorted(self.equality_witnesses)
-            },
-            "witness_counts": {c: self.witness_counts[c] for c in sorted(self.witness_counts)},
-            "violation_examples": {
-                c: self.violation_examples[c] for c in sorted(self.violation_examples)
-            },
-            "slack_histogram": {
-                c: {str(b): cnt for b, cnt in sorted(self.slack_histogram[c].items())}
-                for c in sorted(self.slack_histogram)
-            },
+            "checks": {c: {"checked": t.checked, "holds": t.holds, "violated": t.violated,
+                           "not_applicable": t.not_applicable} for c, t in tallies},
+            "min_slack": {c: t.min_slack for c, t in tallies},
+            "equality_witnesses": {c: t.witnesses for c, t in tallies},
+            "witness_counts": {c: t.witness_count for c, t in tallies},
+            "violation_examples": {c: t.examples for c, t in tallies},
+            "slack_histogram": {c: {str(b): k for b, k in sorted(t.histogram.items())} for c, t in tallies},
             "solver_failures": self.solver_failures,
         }
 
@@ -377,28 +358,27 @@ def _record(rep: SweepReport, check: str, applicable, viol, slack, witness_tol: 
     weight times (once without weights)."""
     if weight is None:
         weight = np.ones(len(applicable), dtype=np.int64)
-    part = SweepReport.for_checks(rep.n, (check,))
-    part.checks[check] = CheckTally(
+    tally = CheckTally(
         checked=int(weight.sum()),
         holds=int(weight[applicable & ~viol].sum()),
         violated=int(weight[viol].sum()),
         not_applicable=int(weight[~applicable].sum()),
+        examples=[g6_of(int(i)) for i in np.nonzero(viol)[0][:_VIOLATION_CAP]],
     )
     if applicable.any():
         sl = slack[applicable]
-        part.min_slack[check] = float(sl.min())
+        tally.min_slack = float(sl.min())
         hist = np.bincount(
             np.minimum(np.floor(np.maximum(sl, 0.0) / HIST_RESOLUTION).astype(np.int64), _HIST_BINS),
             weights=weight[applicable],
         )
-        part.slack_histogram[check] = {int(i): int(hist[i]) for i in np.nonzero(hist)[0]}
+        tally.histogram = {int(i): int(hist[i]) for i in np.nonzero(hist)[0]}
         # Witnesses use witness_tol as an absolute |slack|, unlike the
         # relative equality tags of classify_equality.
         wit = np.nonzero(applicable & (np.abs(slack) <= witness_tol))[0]
-        part.witness_counts[check] = int(weight[wit].sum())
-        part.equality_witnesses[check] = [g6_of(int(i)) for i in wit]
-    part.violation_examples[check] = [g6_of(int(i)) for i in np.nonzero(viol)[0][:_VIOLATION_CAP]]
-    rep.merge(part)
+        tally.witness_count = int(weight[wit].sum())
+        tally.witnesses = [g6_of(int(i)) for i in wit]
+    rep.checks[check].add(tally)
 
 
 def _process_batch(
@@ -592,22 +572,12 @@ def _process_classes(
     return rep
 
 
-def default_jobs() -> int:
-    env = os.environ.get("HUCKEL_JOBS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"HUCKEL_JOBS={env!r} is not an integer")
-    return 1
-
-
 def sweep_labeled(
     n: int,
     checks: Sequence[str] = ALL_CHECKS,
     tol: float = VIOLATION_TOL,
     witness_tol: float = TIGHT_TOL,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     dump_path: Optional[str] = None,
 ) -> SweepReport:
     """Sweep every labeled graph on n vertices (n <= 8).
@@ -627,7 +597,7 @@ def sweep_labeled(
     if not (1 <= n <= ENUM_MAX_N):
         raise ValueError(f"exhaustive sweep needs 1 <= n <= {ENUM_MAX_N}, got n={n}")
     checks = _validate_checks(checks)
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+    jobs = max(1, jobs)
     if dump_path is not None and jobs > 1:
         raise ValueError("per-graph CSV dump requires jobs=1")
     if dump_path is not None and n > _DUMP_MAX_N:

@@ -149,7 +149,7 @@ def test_criterion_05_lower_bound_witnesses_are_stars(sweeps, report):
     }
     ok = True
     for n, expected in frozen.items():
-        witnesses = sweeps[n].equality_witnesses["lower"]
+        witnesses = sweeps[n].checks["lower"].witnesses
         ok &= witnesses == expected
         # Every witness is a star: one center of degree n-1, the rest leaves.
         for g6 in witnesses:
@@ -195,7 +195,7 @@ def test_criterion_07_odd_orders_strictly_below_bound(sweeps, report):
     details = []
     for n, expected in frozen.items():
         tally = sweeps[n].checks["odd_strict"]
-        margin = sweeps[n].min_slack["odd_strict"]
+        margin = sweeps[n].checks["odd_strict"].min_slack
         ok &= tally.violated == 0
         ok &= margin is not None and margin > 0.0
         ok &= abs(margin - expected) <= 1e-9

@@ -385,8 +385,7 @@ def test_headers_crlf_long_form_and_tiny_orders(capsys, monkeypatch, tmp_path):
     assert sorted(reports) == [0, 1, 2, 4, 5, 6, 7, 63]
     reported = [row.split(",")[0] for row in dump.decode().splitlines()[1:]]
     for rep in reports.values():
-        reported += [s for lists in (rep.equality_witnesses, rep.violation_examples) for ws in lists.values()
-                     for s in ws]
+        reported += [s for t in rep.checks.values() for s in t.witnesses + t.examples]
     assert "~??~" + "?" * 326 in reported and "A_" in reported and "Ds_" in reported
     for s in reported:
         assert s == write_graph6(parse_graph6(s))

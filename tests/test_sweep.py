@@ -22,7 +22,6 @@ from huckel.sweep import (
     _batch_connected,
     _mask_batch,
     corpus_records,
-    default_jobs,
     sweep,
     sweep_labeled,
 )
@@ -46,27 +45,27 @@ def test_sweep_order_3():
     assert (rep.checks["upper_nm"].holds, rep.checks["upper_nm"].not_applicable) == (4, 4)
     assert (rep.checks["odd_strict"].holds, rep.checks["odd_strict"].not_applicable) == (4, 4)
     # Strictness margin is smallest on the triangle: sqrt(10) - 3.
-    assert rep.min_slack["odd_strict"] == pytest.approx(0.16227766016837997, abs=1e-12)
+    assert rep.checks["odd_strict"].min_slack == pytest.approx(0.16227766016837997, abs=1e-12)
 
     # The half-moment inequality is a theorem here only for m >= n: the
     # triangle alone, which meets it with equality.
     assert (rep.checks["lemma1"].holds, rep.checks["lemma1"].not_applicable) == (1, 7)
     assert rep.checks["lemma1"].violated == 0
-    assert rep.equality_witnesses["lemma1"] == ["Bw"]
-    assert rep.min_slack["lemma1"] == pytest.approx(0.0, abs=1e-12)
+    assert rep.checks["lemma1"].witnesses == ["Bw"]
+    assert rep.checks["lemma1"].min_slack == pytest.approx(0.0, abs=1e-12)
 
     # Order bound applies to everything; tightest on the triangle.
     assert rep.checks["upper_n"].holds == 8
-    assert rep.min_slack["upper_n"] == pytest.approx(0.23205080756887742, abs=1e-12)
+    assert rep.checks["upper_n"].min_slack == pytest.approx(0.23205080756887742, abs=1e-12)
 
     # Lower bound: the three labeled 2-edge paths are the stars and attain it.
     assert (rep.checks["lower"].holds, rep.checks["lower"].not_applicable) == (4, 4)
-    assert rep.equality_witnesses["lower"] == ["BW", "Bg", "Bo"]
-    assert rep.min_slack["lower"] == pytest.approx(0.0, abs=1e-9)
+    assert rep.checks["lower"].witnesses == ["BW", "Bg", "Bo"]
+    assert rep.checks["lower"].min_slack == pytest.approx(0.0, abs=1e-9)
 
     # Odd two-step refinement is out of scope below n=5.
     assert rep.checks["intermediate"].not_applicable == 8
-    assert rep.min_slack["intermediate"] is None
+    assert rep.checks["intermediate"].min_slack is None
 
 
 def test_sweep_order_4():
@@ -79,22 +78,22 @@ def test_sweep_order_4():
     assert rep.checks["lemma1"].holds == 38
     assert rep.checks["lemma1"].not_applicable == 26
     assert rep.checks["lemma1"].violated == 0
-    assert rep.min_slack["lemma1"] == pytest.approx(0.75, abs=1e-12)
+    assert rep.checks["lemma1"].min_slack == pytest.approx(0.75, abs=1e-12)
 
     # Even two-parameter bound applies everywhere; equality exactly on the
     # empty graph and the three perfect matchings.
     assert rep.checks["upper_nm"].holds == 64
-    assert rep.equality_witnesses["upper_nm"] == ["C?", "CK", "CQ", "C`"]
-    assert rep.witness_counts["upper_nm"] == 4
+    assert rep.checks["upper_nm"].witnesses == ["C?", "CK", "CQ", "C`"]
+    assert rep.checks["upper_nm"].witness_count == 4
 
     # Stars attain the lower bound.
-    assert rep.equality_witnesses["lower"] == ["CF", "CX", "Ci", "Cs"]
+    assert rep.checks["lower"].witnesses == ["CF", "CX", "Ci", "Cs"]
 
     # Two-step refinement is tight on eight graphs, K4 among them.
-    assert rep.equality_witnesses["intermediate"] == [
+    assert rep.checks["intermediate"].witnesses == [
         "CJ", "CT", "C]", "Ce", "Cl", "Cr", "Cw", "C~",
     ]
-    assert rep.min_slack["upper_n"] == pytest.approx(0.34099598952009114, abs=1e-12)
+    assert rep.checks["upper_n"].min_slack == pytest.approx(0.34099598952009114, abs=1e-12)
 
 
 def test_sweep_order_1():
@@ -113,8 +112,8 @@ def test_parallel_matches_serial():
     # Frozen half-moment tallies: 638 graphs with m >= 5 plus 125 trees.
     assert serial.checks["lemma1"].holds == 763
     assert serial.checks["lemma1"].not_applicable == 261
-    assert serial.min_slack["lemma1"] == pytest.approx(0.5599999999999987, abs=1e-12)
-    assert serial.min_slack["odd_strict"] == pytest.approx(0.4434806740639088, abs=1e-12)
+    assert serial.checks["lemma1"].min_slack == pytest.approx(0.5599999999999987, abs=1e-12)
+    assert serial.checks["odd_strict"].min_slack == pytest.approx(0.4434806740639088, abs=1e-12)
 
 
 def flood_fill_connected(g: Graph) -> bool:
@@ -289,18 +288,6 @@ def test_report_merge_and_serialization():
     assert empty.to_dict() == rep.to_dict()
 
 
-def test_default_jobs(monkeypatch):
-    monkeypatch.delenv("HUCKEL_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("HUCKEL_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("HUCKEL_JOBS", "0")
-    assert default_jobs() == 1
-    monkeypatch.setenv("HUCKEL_JOBS", "two")
-    with pytest.raises(ValueError, match="HUCKEL_JOBS"):
-        default_jobs()
-
-
 def test_worker_processes_capped(monkeypatch):
     # A recorder in place of the pool: it starts no process and runs each
     # range in this one.
@@ -357,8 +344,8 @@ def test_parallel_witness_lists_match_serial_at_order_7(monkeypatch):
     # the capped list must be the smallest strings whatever the part order.
     monkeypatch.setattr(importlib.import_module("huckel.sweep"), "ProcessPoolExecutor", _NoPool)
     serial = sweep_labeled(7)
-    assert serial.witness_counts["intermediate"] > 1000
-    assert serial.equality_witnesses["intermediate"] == sorted(serial.equality_witnesses["intermediate"])
+    assert serial.checks["intermediate"].witness_count > 1000
+    assert serial.checks["intermediate"].witnesses == sorted(serial.checks["intermediate"].witnesses)
     assert sweep_labeled(7, jobs=2).to_dict() == serial.to_dict()
 
 
