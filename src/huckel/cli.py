@@ -151,14 +151,14 @@ def _cmd_construct(args) -> int:
     q = args.q
     try:
         if family == "conference":
-            if q is None:
-                raise ConstructionError("construct conference requires --q (a prime power, 1 mod 4)")
+            if q is None or t is not None:
+                raise ConstructionError("construct conference takes --q (a prime power, 1 mod 4) and no --t")
             g = paley_graph(q, adjacency="square")
             t_eff = (q - 1) // 4
             cert = {"family": family, "q": q, "t": t_eff}
         else:
-            if t is None:
-                raise ConstructionError(f"construct {family} requires --t (a positive integer)")
+            if t is None or q is not None:
+                raise ConstructionError(f"construct {family} takes --t (a positive integer) and no --q")
             if family == "switched":
                 g = build_switched_srg(t)
             elif family == "extremal":
@@ -230,11 +230,10 @@ def _cmd_verify(args) -> int:
     checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
     try:
         if args.n is not None:
-            reports = [
-                sweep_labeled(
-                    args.n, checks=checks, tol=args.tol, jobs=args.jobs, dump_path=args.dump
-                )
-            ]
+            jobs = 1 if args.jobs is None else args.jobs
+            reports = [sweep_labeled(args.n, checks=checks, tol=args.tol, jobs=jobs, dump_path=args.dump)]
+        elif args.jobs is not None:
+            raise ValueError("--jobs applies to --n only; a corpus is swept serially")
         else:
             graphs = corpus_records(args.corpus, on_error="skip" if args.skip_bad else "raise")
             reports = sweep(graphs, checks=checks, tol=args.tol, dump_path=args.dump)
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int, help="exhaustive sweep over all labeled graphs of this order (at most 8)")
     group.add_argument("--corpus", help="graph6 file to sweep")
     p.add_argument("--checks", help=f"comma-separated subset of: {','.join(ALL_CHECKS)}")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=int, help="worker processes for --n (default 1)")
     p.add_argument("--tol", type=_tolerance, default=VIOLATION_TOL, help="violation tolerance (relative)")
     p.add_argument("--dump", help="write per-graph CSV rows to this file (serial only)")
     p.add_argument("--skip-bad", action="store_true", help="skip malformed corpus records")

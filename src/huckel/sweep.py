@@ -4,9 +4,10 @@ Graphs are eigensolved in batches by a symmetric solver and every enabled
 check is evaluated vectorized per batch.  An exhaustive sweep on n vertices
 eigensolves each class representative of order n-1 once per neighbour set of
 a new vertex, counted with the representative's orbit size, and evaluates
-labeled copies only of the classes near a decision point.  Reports are
-per-order and merge as a commutative monoid, so a sweep split into parts
-(serial or multiprocess) reduces to the identical report.
+labeled copies only of the classes near a decision point.  Each batch is
+eigensolved and judged once (_Batch), and one tally (_tally) adds its rows to
+the report of its order; a sweep cut into pieces, serial or multiprocess,
+tallies their rows in mask order, so it gives the serial report.
 """
 
 from __future__ import annotations
@@ -110,14 +111,6 @@ class SweepReport:
     def total_violations(self) -> int:
         return sum(t.violated for t in self.checks.values()) + len(self.solver_failures)
 
-    def merge(self, other: "SweepReport") -> None:
-        if other.n != self.n:
-            raise ValueError("cannot merge reports of different orders")
-        self.graph_count += other.graph_count
-        for check, tally in other.checks.items():
-            self.checks.setdefault(check, CheckTally()).add(tally)
-        self.solver_failures.extend(other.solver_failures)
-
     def finalize(self) -> "SweepReport":
         self.solver_failures = sorted(set(self.solver_failures))
         return self
@@ -140,7 +133,7 @@ class SweepReport:
 
 
 def _validate_checks(checks: Sequence[str]) -> Tuple[str, ...]:
-    out = tuple(checks)
+    out = tuple(dict.fromkeys(checks))  # repeats dropped, first-seen order kept
     for c in out:
         if c not in CHECKS:
             raise ValueError(f"unknown check {c!r}; valid: {', '.join(ALL_CHECKS)}")
@@ -194,18 +187,44 @@ def corpus_records(path: str, on_error: str = "raise") -> Iterator[List[Segment]
 
 
 class _Batch:
-    """One eigensolved batch of graphs of order n (spectra w, rows
-    non-increasing, and sizes m), with everything the check rows read.
-    Connectivity is computed only when a check asks for it, and only on the
-    rows it names."""
+    """One batch of graphs of order n (adjacency a, sizes m), eigensolved and
+    judged once: spectra w, rows non-increasing; ok, the rows that converged
+    and keep the trace/Frobenius invariants; everything the check rows read;
+    and verdicts, each check's (applicable, violated, slack, bound) rows.
+    Rows the solver flagged (not ok), and every row at an order a check
+    skips, are not applicable.  Connectivity is computed only when a check
+    asks for it, and only on the rows it names."""
 
-    def __init__(self, n: int, a: np.ndarray, m: np.ndarray, w: np.ndarray):
-        self.n, self.a, self.m, self.w = n, a, m, w
-        self.he, self.alpha, self.beta = half_spectrum(w)
+    def __init__(self, n: int, a: np.ndarray, m: np.ndarray, checks: Tuple[str, ...], tol: float):
+        self.n, self.a, self.m, self.tol = n, a, m, tol
+        self.ok = np.ones(len(m), dtype=bool)
+        try:
+            w = np.linalg.eigvalsh(a)
+        except np.linalg.LinAlgError:
+            w = np.zeros((len(m), n))
+            for idx in range(len(m)):
+                try:
+                    w[idx] = np.linalg.eigvalsh(a[idx])
+                except np.linalg.LinAlgError:
+                    self.ok[idx] = False
+        self.w = w[:, ::-1]
+        trace_ok, frobenius_ok = invariants_hold(self.w, m)
+        self.ok &= trace_ok & frobenius_ok
+        self.he, self.alpha, self.beta = half_spectrum(self.w)
         self.isolated = (a.sum(axis=2) == 0.0).any(axis=1)
         if n >= 2:
             self.f1, self.f2 = intermediate_bounds(n, m, self.alpha, self.beta)
             self.upper_nm, self.upper_nm_applies = upper_bound(n, m)[0], upper_bound_applies(n, m)
+        self.verdicts = {name: self._judge(CHECKS[name]) for name in checks}
+
+    def _judge(self, check: Check):
+        if not check.order(self.n):
+            none = np.zeros(len(self.m), dtype=bool)
+            return none, none, np.zeros(len(self.m)), 0.0
+        value, bound = check.value(self), check.bound(self)
+        slack = bound - value if check.upper else value - bound
+        applicable = check.domain(self) & self.ok
+        return applicable, violated(slack, bound, self.tol, check.strict) & applicable, slack, bound
 
     def connected(self, rows: np.ndarray) -> np.ndarray:
         """Connectivity of the graphs in the rows selected by the boolean
@@ -274,12 +293,12 @@ def _dump_writer(path: Optional[str]):
         yield writer
 
 
-def _dump_rows(b: _Batch, tol: float, g6_of) -> Iterator[tuple]:
+def _dump_rows(b: _Batch, g6_of) -> Iterator[tuple]:
     """Per-graph CSV rows, formatted column by column from the bound fields
     of bounds._bound_fields.  The lemma1 column evaluates the inequality on
     its stated domain (lemma1_check), wider than the domain the sweep asserts."""
     n, rows = b.n, len(b.m)
-    f = _bound_fields(n, b.m, b.he, b.alpha, b.beta, b.isolated, tol)
+    f = _bound_fields(n, b.m, b.he, b.alpha, b.beta, b.isolated, b.tol)
 
     def col(x, fmt="{:.12g}".format):
         """x formatted row by row, a scalar repeated, or blanks if x is None."""
@@ -315,91 +334,44 @@ def _batch_connected(a: np.ndarray) -> np.ndarray:
     return reach[:, 0, :].all(axis=1)
 
 
-def _eigensolve(a: np.ndarray, m: np.ndarray):
-    """Spectra of a (B, n, n) batch, rows non-increasing, and the mask of rows
-    that converged and keep the trace/Frobenius invariants."""
-    b, n = a.shape[0], a.shape[1]
-    ok = np.ones(b, dtype=bool)
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError:
-        w = np.zeros((b, n))
-        for idx in range(b):
-            try:
-                w[idx] = np.linalg.eigvalsh(a[idx])
-            except np.linalg.LinAlgError:
-                ok[idx] = False
-    w = w[:, ::-1]
-    trace_ok, frobenius_ok = invariants_hold(w, m)
-    return w, ok & trace_ok & frobenius_ok
-
-
-def _verdicts(b: _Batch, ok: np.ndarray, checks: Tuple[str, ...], tol: float):
-    """(applicable, violated, slack, bound) of each check on every row of b.
-    Rows the solver flagged (not ok), and every row at an order the check
-    skips, are not applicable."""
-    out = []
-    for name in checks:
-        check = CHECKS[name]
-        if not check.order(b.n):
-            none = np.zeros(len(b.m), dtype=bool)
-            out.append((none, none, np.zeros(len(b.m)), 0.0))
-            continue
-        value, bound = check.value(b), check.bound(b)
-        slack = bound - value if check.upper else value - bound
-        applicable = check.domain(b) & ok
-        out.append((applicable, violated(slack, bound, tol, check.strict) & applicable, slack, bound))
-    return out
-
-
-def _record(rep: SweepReport, check: str, applicable, viol, slack, witness_tol: float, g6_of,
-            weight: Optional[np.ndarray] = None) -> None:
-    """Merge one batch's verdicts on one check into rep, each row counted
-    weight times (once without weights)."""
+def _tally(rep: SweepReport, ok: np.ndarray, verdicts: Dict[str, Sequence[np.ndarray]], g6_of,
+           weight: Optional[np.ndarray] = None) -> None:
+    """Add judged rows to rep: ok, the solver's mask, and each check's
+    (applicable, violated, slack) rows, each row counted weight times (once
+    without weights)."""
     if weight is None:
-        weight = np.ones(len(applicable), dtype=np.int64)
-    tally = CheckTally(
-        checked=int(weight.sum()),
-        holds=int(weight[applicable & ~viol].sum()),
-        violated=int(weight[viol].sum()),
-        not_applicable=int(weight[~applicable].sum()),
-        examples=[g6_of(int(i)) for i in np.nonzero(viol)[0][:_VIOLATION_CAP]],
-    )
-    if applicable.any():
-        sl = slack[applicable]
-        tally.min_slack = float(sl.min())
-        hist = np.bincount(
-            np.minimum(np.floor(np.maximum(sl, 0.0) / HIST_RESOLUTION).astype(np.int64), _HIST_BINS),
-            weights=weight[applicable],
+        weight = np.ones(len(ok), dtype=np.int64)
+    rep.graph_count += int(weight.sum())
+    rep.solver_failures.extend(g6_of(int(i)) for i in np.nonzero(~ok)[0])
+    for name, (applicable, viol, slack, *_) in verdicts.items():
+        tally = CheckTally(
+            checked=int(weight.sum()),
+            holds=int(weight[applicable & ~viol].sum()),
+            violated=int(weight[viol].sum()),
+            not_applicable=int(weight[~applicable].sum()),
+            examples=[g6_of(int(i)) for i in np.nonzero(viol)[0][:_VIOLATION_CAP]],
         )
-        tally.histogram = {int(i): int(hist[i]) for i in np.nonzero(hist)[0]}
-        # Witnesses use witness_tol as an absolute |slack|, unlike the
-        # relative equality tags of classify_equality.
-        wit = np.nonzero(applicable & (np.abs(slack) <= witness_tol))[0]
-        tally.witness_count = int(weight[wit].sum())
-        tally.witnesses = [g6_of(int(i)) for i in wit]
-    rep.checks[check].add(tally)
+        if applicable.any():
+            sl = slack[applicable]
+            tally.min_slack = float(sl.min())
+            hist = np.bincount(
+                np.minimum(np.floor(np.maximum(sl, 0.0) / HIST_RESOLUTION).astype(np.int64), _HIST_BINS),
+                weights=weight[applicable],
+            )
+            tally.histogram = {int(i): int(hist[i]) for i in np.nonzero(hist)[0]}
+            # Witnesses use TIGHT_TOL as an absolute |slack|, unlike the
+            # relative equality tags of classify_equality.
+            wit = np.nonzero(applicable & (np.abs(slack) <= TIGHT_TOL))[0]
+            tally.witness_count = int(weight[wit].sum())
+            tally.witnesses = [g6_of(int(i)) for i in wit]
+        rep.checks[name].add(tally)
 
 
-def _process_batch(
-    n: int,
-    a: np.ndarray,
-    m_arr: np.ndarray,
-    checks: Tuple[str, ...],
-    tol: float,
-    witness_tol: float,
-    rep: SweepReport,
-    g6_of,
-    dump=None,
-) -> None:
-    rep.graph_count += len(m_arr)
-    w, ok = _eigensolve(a, m_arr)
-    rep.solver_failures.extend(g6_of(int(idx)) for idx in np.nonzero(~ok)[0])
-    b = _Batch(n, a, m_arr, w)
-    for name, (applicable, viol, slack, _) in zip(checks, _verdicts(b, ok, checks, tol)):
-        _record(rep, name, applicable, viol, slack, witness_tol, g6_of)
+def _add_batch(rep: SweepReport, b: _Batch, g6_of, dump=None) -> None:
+    """Tally every row of b into rep, and write its CSV rows to dump if given."""
+    _tally(rep, b.ok, b.verdicts, g6_of)
     if dump is not None:
-        dump.writerows(_dump_rows(b, tol, g6_of))
+        dump.writerows(_dump_rows(b, g6_of))
 
 
 # ─── isomorphism classes of edge masks ──────────────────────────────────────
@@ -451,19 +423,19 @@ def _classes(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
 
 
-def _near_decision(check: Check, b: _Batch, applicable, slack, bound, tol: float, witness_tol: float):
+def _near_decision(check: Check, b: _Batch, applicable, slack, bound, tol: float):
     """Applicable rows of b whose slack on check lies within DUST_TOL of a
     point where a verdict, the witness test or the histogram bin could change:
     the violation threshold -tol*max(1, |bound|), the band
-    |slack| <= max(witness_tol, 0) (which holds 0, the strict rows'
-    threshold) and a bin edge k*HIST_RESOLUTION below the overflow bin; and
-    the rows the check calls steep.  Elsewhere the slacks of a graph's
+    |slack| <= TIGHT_TOL (which holds 0, the strict rows' threshold) and a
+    bin edge k*HIST_RESOLUTION below the overflow bin; and the rows the
+    check calls steep.  Elsewhere the slacks of a graph's
     labeled copies differ from its own by eigensolver rounding, far below
     DUST_TOL, so the graph stands for every copy.  The check's smallest slack
     is the one more such point; it needs every row of the sweep, so
     _process_classes applies it."""
     near = np.abs(slack + tol * np.maximum(1.0, np.abs(bound))) <= DUST_TOL
-    near |= np.abs(slack) <= max(witness_tol, 0.0) + DUST_TOL
+    near |= np.abs(slack) <= TIGHT_TOL + DUST_TOL
     edge = np.rint(slack / HIST_RESOLUTION)
     near |= (edge >= 1) & (edge <= _HIST_BINS) & (np.abs(slack - edge * HIST_RESOLUTION) <= DUST_TOL)
     if check.steep is not None:
@@ -489,27 +461,16 @@ def _pieces(masks: np.ndarray, parts: int) -> List[np.ndarray]:
     return [p for p in np.array_split(masks, max(parts, -(-len(masks) // _BATCH))) if len(p)]
 
 
-def _flag_piece(args):
-    """Pass 1 on one piece of masks: the rows to expand by every rule but the
-    smallest slack, and each check's (applicable, violated, slack) rows."""
-    n, masks, checks, tol, witness_tol = args
-    a, m_arr = _mask_batch(n, masks)
-    w, ok = _eigensolve(a, m_arr)
-    b = _Batch(n, a, m_arr, w)
-    verdicts = _verdicts(b, ok, checks, tol)
-    flag = ~ok
-    for name, (applicable, viol, slack, bound) in zip(checks, verdicts):
-        flag |= viol | _near_decision(CHECKS[name], b, applicable, slack, bound, tol, witness_tol)
-    return flag, [v[:3] for v in verdicts]
-
-
-def _sweep_piece(args) -> SweepReport:
-    """Pass 2 on one piece of masks: the report of those labeled graphs."""
-    n, masks, checks, tol, witness_tol, dump = args
-    rep = SweepReport.for_checks(n, checks)
-    a, m_arr = _mask_batch(n, masks)
-    _process_batch(n, a, m_arr, checks, tol, witness_tol, rep, _mask_graph6(n, masks), dump)
-    return rep
+def _piece(args):
+    """Eigensolve and judge one piece of masks: the rows to expand by every
+    rule but the smallest slack, the solver's mask, and each check's
+    (applicable, violated, slack) rows."""
+    n, masks, checks, tol = args
+    b = _Batch(n, *_mask_batch(n, masks), checks, tol)
+    flag = ~b.ok
+    for name, (applicable, viol, slack, bound) in b.verdicts.items():
+        flag |= viol | _near_decision(CHECKS[name], b, applicable, slack, bound, tol)
+    return flag, b.ok, {name: v[:3] for name, v in b.verdicts.items()}
 
 
 def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -528,33 +489,38 @@ def _process_classes(
     weights: np.ndarray,
     checks: Tuple[str, ...],
     tol: float,
-    witness_tol: float,
     jobs: int = 1,
 ) -> SweepReport:
     """Sweep the labeled graphs on n vertices that masks stand for, mask i
     counted weights[i] times: the classes of order n with their orbit sizes,
     or sweep_labeled's augmentation pairs.
 
-    Pass 1 eigensolves the masks piece by piece and keeps only each check's
-    row verdicts.  A mask is flagged if the solver flagged it, it violates a
-    check or lies near a decision point (_near_decision, or within DUST_TOL
-    of the check's smallest slack over all masks).  The class of each
-    flagged mask is expanded once into its labeled copies, and pass 2
-    evaluates them through _process_batch in ascending mask order.  Every
-    mask in an expanded class is dropped from the weighted tallies; every
-    other mask is added once with its weight.  With jobs > 1 both passes
-    run their pieces in at most jobs worker processes, but expansion is
-    decided on the whole list.
+    Both passes judge their masks piece by piece (_piece) and keep only
+    each check's row verdicts.  In pass 1 a mask is flagged if the solver
+    flagged it, it violates a check or lies near a decision point
+    (_near_decision, or within DUST_TOL of the check's smallest slack over
+    all masks).  The class of each flagged mask is expanded once into its
+    labeled copies, which pass 2 judges in ascending mask order.  Every mask
+    in an expanded class is dropped from the weighted tally; every other
+    mask is tallied once with its weight, then every copy once.  With
+    jobs > 1 both passes run their pieces in at most jobs worker processes,
+    but expansion is decided on the whole list.
     """
     rep = SweepReport.for_checks(n, checks)
     parts = 1 if jobs == 1 else min(8 * jobs, max(1, int(weights.sum()) >> 10))
     workers = min(jobs, os.cpu_count() or 1, parts)
     with (ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext()) as pool:
         pmap = map if pool is None else pool.map
-        done = list(pmap(_flag_piece, [(n, p, checks, tol, witness_tol) for p in _pieces(masks, parts)]))
-        flag = np.concatenate([f for f, _ in done])
-        verdicts = [[np.concatenate(col) for col in zip(*(v[c] for _, v in done))] for c in range(len(checks))]
-        for applicable, _, slack in verdicts:
+
+        def solve(rows: np.ndarray):
+            """flag, ok and each check's verdicts of the masks rows, judged
+            piece by piece and concatenated in order."""
+            done = list(pmap(_piece, [(n, p, checks, tol) for p in _pieces(rows, parts)]))
+            flag, ok = (np.concatenate([d[k] for d in done]) for k in (0, 1))
+            return flag, ok, {c: [np.concatenate(col) for col in zip(*(d[2][c] for d in done))] for c in checks}
+
+        flag, ok, verdicts = solve(masks)
+        for applicable, _, slack in verdicts.values():
             if applicable.any():
                 flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
         copies = np.zeros(0, np.int64)
@@ -563,12 +529,10 @@ def _process_classes(
         for r in masks[flag].tolist():
             copies = copies if r in copies else np.sort(np.concatenate((copies, _orbit(n, r))))
         keep = ~np.isin(masks, copies, assume_unique=True)  # masks are distinct; copies sorted, distinct
-        rep.graph_count += int(weights[keep].sum())
-        for name, (applicable, viol, slack) in zip(checks, verdicts):
-            _record(rep, name, applicable[keep], viol[keep], slack[keep], witness_tol,
-                    _mask_graph6(n, masks[keep]), weight=weights[keep])
-        for part in pmap(_sweep_piece, [(n, p, checks, tol, witness_tol, None) for p in _pieces(copies, parts)]):
-            rep.merge(part)
+        _tally(rep, ok[keep], {c: [x[keep] for x in v] for c, v in verdicts.items()},
+               _mask_graph6(n, masks[keep]), weights[keep])
+        if len(copies):
+            _tally(rep, *solve(copies)[1:], _mask_graph6(n, copies))
     return rep
 
 
@@ -576,7 +540,6 @@ def sweep_labeled(
     n: int,
     checks: Sequence[str] = ALL_CHECKS,
     tol: float = VIOLATION_TOL,
-    witness_tol: float = TIGHT_TOL,
     jobs: int = 1,
     dump_path: Optional[str] = None,
 ) -> SweepReport:
@@ -591,24 +554,25 @@ def sweep_labeled(
     every labeled graph.  Dumping per-graph CSV rows evaluates every copy,
     in edge-mask order; it requires the serial path and n <= 7.  jobs > 1
     cuts each pass into up to 8*jobs parts, one per 1024 labeled graphs;
-    the merged report is identical to the serial one.  At most
+    the report is identical to the serial one.  At most
     min(jobs, CPU count, part count) worker processes start.
     """
     if not (1 <= n <= ENUM_MAX_N):
         raise ValueError(f"exhaustive sweep needs 1 <= n <= {ENUM_MAX_N}, got n={n}")
     checks = _validate_checks(checks)
-    jobs = max(1, jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if dump_path is not None and jobs > 1:
         raise ValueError("per-graph CSV dump requires jobs=1")
     if dump_path is not None and n > _DUMP_MAX_N:
         raise ValueError(f"per-graph CSV dump needs n <= {_DUMP_MAX_N}; n={n} would write "
                          f"{1 << (n * (n - 1) // 2):,} rows")
     if not dump_path:
-        return _process_classes(n, *_pairs(n), checks, tol, witness_tol, jobs=jobs).finalize()
+        return _process_classes(n, *_pairs(n), checks, tol, jobs=jobs).finalize()
     rep = SweepReport.for_checks(n, checks)
     with _dump_writer(dump_path) as dump:
         for piece in _pieces(np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), 1):
-            rep.merge(_sweep_piece((n, piece, checks, tol, witness_tol, dump)))
+            _add_batch(rep, _Batch(n, *_mask_batch(n, piece), checks, tol), _mask_graph6(n, piece), dump)
     return rep.finalize()
 
 
@@ -616,7 +580,6 @@ def sweep(
     records: Iterable[Sequence[Segment]],
     checks: Sequence[str] = ALL_CHECKS,
     tol: float = VIOLATION_TOL,
-    witness_tol: float = TIGHT_TOL,
     dump_path: Optional[str] = None,
 ) -> List[SweepReport]:
     """Sweep the sections of corpus_records, one report per order, sorted by
@@ -638,8 +601,9 @@ def sweep(
         step = max(1, _SOLVE_CELLS // max(1, n * n))
         for lo in range(0, len(g6), step):
             sub = bits[lo:lo + step]
-            _process_batch(n, pair_batch(n, sub), sub.sum(axis=1, dtype=np.int64), checks, tol, witness_tol,
-                           reports[n], g6[lo:lo + step].__getitem__, dump)
+            # Built inside the call, so no name keeps a sub-batch alive while the next is built.
+            _add_batch(reports[n], _Batch(n, pair_batch(n, sub), sub.sum(axis=1, dtype=np.int64), checks, tol),
+                       g6[lo:lo + step].__getitem__, dump)
 
     with _dump_writer(dump_path) as dump:
         for section in records:

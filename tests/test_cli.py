@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -194,6 +195,10 @@ def test_construct_remark_cert(capsys, tmp_path):
         (["construct", "extremal", "--t", "48"], "order limit 8192"),
         (["construct", "switched", "--t", "48"], "order limit 8192"),
         (["construct", "remark", "--t", "48"], "order limit 8192"),
+        # Each family takes one parameter; the other one is refused, not dropped.
+        (["construct", "conference", "--q", "9", "--t", "2"], "no --t"),
+        (["construct", "extremal", "--t", "1", "--q", "5"], "no --q"),
+        (["construct", "remark", "--t", "1", "--q", "5"], "no --q"),
     ],
 )
 def test_construct_errors(capsys, argv, needle):
@@ -277,6 +282,54 @@ def test_verify_jobs_env_parity(capsys):
     code, flagged, _ = run(capsys, ["verify", "--n", "4", "--jobs", "2"])
     assert code == 0
     assert flagged == serial
+
+
+GOLDEN_CORPUS = str(Path(__file__).resolve().parent / "golden" / "corpus.g6")
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["verify", "--n", "3", "--jobs", "0"], "jobs must be >= 1"),
+    (["verify", "--n", "3", "--jobs", "-5"], "jobs must be >= 1"),
+    (["verify", "--corpus", GOLDEN_CORPUS, "--jobs", "4"], "--jobs applies to --n only"),
+    (["verify", "--corpus", GOLDEN_CORPUS, "--jobs", "1"], "--jobs applies to --n only"),
+])
+def test_verify_jobs_where_it_does_nothing(capsys, argv, needle):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and needle in line
+
+
+@pytest.mark.parametrize("source", [["--n", "3"], ["--corpus", GOLDEN_CORPUS]])
+def test_verify_repeated_check_counts_once(capsys, source):
+    once = run(capsys, ["verify", *source, "--checks", "lower,upper_n"])
+    assert once[0] == 0
+    assert run(capsys, ["verify", *source, "--checks", "lower,upper_n,lower"]) == once
+    assert run(capsys, ["verify", *source, "--checks", "upper_n,lower,upper_n"])[1] == once[1]
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["verify", "--n", "3", "--checks", "lower", "--jobs", "1", "--tol", "1e-8", "--dump", "{dump}"],
+     "sweep_labeled"),
+    (["verify", "--corpus", GOLDEN_CORPUS, "--checks", "lower", "--tol", "1e-8", "--dump", "{dump}",
+      "--skip-bad"], "sweep"),
+])
+def test_every_sweep_parameter_has_a_cli_caller(capsys, monkeypatch, tmp_path, argv, target):
+    # With every verify option set, the CLI binds every parameter of the
+    # sweep it calls: a parameter only tests could set would show up here.
+    cli = importlib.import_module("huckel.cli")
+    real, seen = getattr(cli, target), []
+    signature = inspect.signature(real)
+
+    def spy(*args, **kwargs):
+        seen.append(signature.bind(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, target, spy)
+    code, _, _ = run(capsys, [a.format(dump=tmp_path / "rows.csv") for a in argv])
+    assert code == 0
+    (bound,) = seen
+    assert set(bound.arguments) == set(signature.parameters)
 
 
 def test_bound_with_m(capsys):

@@ -29,7 +29,7 @@ from huckel.graphs import (
     parse_graph6,
     write_graph6,
 )
-from huckel.spectra import TIGHT_TOL, VIOLATION_TOL
+from huckel.spectra import VIOLATION_TOL
 
 S = importlib.import_module("huckel.sweep")  # the package's sweep() shadows the module
 GOLDEN_CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.g6"
@@ -123,7 +123,7 @@ def dense_batch(graphs, n):
     return bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(np.float64)
 
 
-def old_sweep(graphs, checks=S.ALL_CHECKS, tol=VIOLATION_TOL, witness_tol=TIGHT_TOL, dump_path=None):
+def old_sweep(graphs, checks=S.ALL_CHECKS, tol=VIOLATION_TOL, dump_path=None):
     """The Graph-at-a-time corpus sweep: per-order Graph buffers, dense_batch
     at each flush, write_graph6 for each reported string."""
     checks = S._validate_checks(checks)
@@ -135,8 +135,7 @@ def old_sweep(graphs, checks=S.ALL_CHECKS, tol=VIOLATION_TOL, witness_tol=TIGHT_
             reports[n] = S.SweepReport.for_checks(n, checks)
         a = dense_batch(buf, n)
         m_arr = (a.sum(axis=(1, 2)) / 2).astype(np.int64)
-        S._process_batch(n, a, m_arr, checks, tol, witness_tol, reports[n],
-                         lambda i: write_graph6(buf[i]), dump)
+        S._add_batch(reports[n], S._Batch(n, a, m_arr, checks, tol), lambda i: write_graph6(buf[i]), dump)
 
     with S._dump_writer(dump_path) as dump:
         for g in graphs:

@@ -191,12 +191,12 @@ def _bound_table_by_loop(n):
     return vals, regimes, applies
 
 
-def _dump_rows_by_loop(b, tol, g6_of):
+def _dump_rows_by_loop(b, g6_of):
     """The per-row CSV writer the column-wise one replaced, reading the
     scalar bound table: the oracle of the --dump bytes."""
     n, g = b.n, "{:.12g}".format
     en = energy(b.w)
-    lemma1 = lemma1_check(n, b.m, b.alpha, tol=tol)
+    lemma1 = lemma1_check(n, b.m, b.alpha, tol=b.tol)
     un = upper_bound_order(n) if n >= 1 else None
     lb = lower_bound(n) if n >= 2 else None
     table = _bound_table_by_loop(n) if n >= 2 else None
@@ -276,16 +276,14 @@ def test_sweep_stream_groups_orders():
     assert sum(rep.total_violations for rep in reports) == 0
 
 
-def test_report_merge_and_serialization():
+def test_report_serialization():
     rep = sweep_labeled(3)
-    other = sweep_labeled(4)
-    with pytest.raises(ValueError, match="different orders"):
-        rep.merge(other)
-    blob = json.dumps(rep.to_dict())
-    assert json.loads(blob)["graph_count"] == 8
-    empty = SweepReport(n=3)
-    empty.merge(sweep_labeled(3))
-    assert empty.to_dict() == rep.to_dict()
+    blob = json.loads(json.dumps(rep.to_dict()))
+    assert blob == rep.to_dict()
+    assert blob["graph_count"] == 8
+    empty = SweepReport.for_checks(3, ("lower",)).to_dict()
+    assert empty["checks"] == {"lower": {"checked": 0, "holds": 0, "violated": 0, "not_applicable": 0}}
+    assert (empty["min_slack"], empty["equality_witnesses"]) == ({"lower": None}, {"lower": []})
 
 
 def test_worker_processes_capped(monkeypatch):
@@ -354,6 +352,15 @@ def test_parallel_witness_lists_match_serial_at_order_7(monkeypatch):
 sweep_module = importlib.import_module("huckel.sweep")
 
 
+def _band(options, monkeypatch):
+    """options as sweep_labeled arguments; a "band" entry widens the witness
+    band |slack| <= TIGHT_TOL instead."""
+    options = dict(options)
+    if "band" in options:
+        monkeypatch.setattr(sweep_module, "TIGHT_TOL", options.pop("band"))
+    return options
+
+
 def test_class_counts_match_the_atlas():
     import networkx as nx
 
@@ -374,21 +381,19 @@ def test_class_counts_match_the_atlas():
     {},
     {"checks": ("lower", "odd_strict", "lemma1")},
     {"tol": 0.0},
-    {"witness_tol": 1e-3},  # a wide band: many witness and bin-edge expansions
+    {"band": 1e-3},  # a wide band: many witness and bin-edge expansions
 ])
-def test_orbit_sweep_matches_every_labeled_graph(n, options):
+def test_orbit_sweep_matches_every_labeled_graph(n, options, monkeypatch):
     # A dump evaluates every labeled graph: the all-labeled oracle.
+    options = _band(options, monkeypatch)
     oracle = sweep_labeled(n, dump_path=os.devnull, **options)
     assert sweep_labeled(n, **options).to_dict() == oracle.to_dict()
 
 
 def _copies(n, masks):
     """The _Batch and check verdicts of graphs given by edge masks."""
-    s = sweep_module
-    a, m = s._mask_batch(n, masks)
-    w, ok = s._eigensolve(a, m)
-    b = s._Batch(n, a, m, w)
-    return b, dict(zip(ALL_CHECKS, s._verdicts(b, ok, ALL_CHECKS, 1e-8)))
+    b = sweep_module._Batch(n, *sweep_module._mask_batch(n, masks), ALL_CHECKS, 1e-8)
+    return b, b.verdicts
 
 
 def test_labeled_copies_differ_from_their_class_by_rounding():
@@ -413,7 +418,7 @@ def test_labeled_copies_differ_from_their_class_by_rounding():
     assert DUST_TOL < steep_deviation < TIGHT_TOL
 
 
-def test_any_representative_gives_the_labeled_report():
+def test_any_representative_gives_the_labeled_report(monkeypatch):
     # Represent each class by its copy with the largest intermediate slack,
     # up to 1e-7 above its siblings at the steep equality graphs: expanding
     # steep rows keeps the report equal to the labeled one even for witness
@@ -425,9 +430,10 @@ def test_any_representative_gives_the_labeled_report():
         orbit = sweep_module._orbit(n, int(r))
         applicable, _, slack, _ = _copies(n, orbit)[1]["intermediate"]
         far.append(orbit[int(np.argmax(np.where(applicable, slack, -np.inf)))])
-    for witness_tol in (0.0, 1e-8):
-        got = sweep_module._process_classes(n, np.array(far), sizes, ALL_CHECKS, 1e-8, witness_tol)
-        oracle = sweep_labeled(n, witness_tol=witness_tol, dump_path=os.devnull)
+    for band in (0.0, 1e-8):
+        monkeypatch.setattr(sweep_module, "TIGHT_TOL", band)
+        got = sweep_module._process_classes(n, np.array(far), sizes, ALL_CHECKS, 1e-8)
+        oracle = sweep_labeled(n, dump_path=os.devnull)
         assert got.finalize().to_dict() == oracle.to_dict()
 
 
@@ -496,16 +502,17 @@ def test_parallel_order_8_matches_serial(monkeypatch):
     {},
     {"checks": ("lower", "odd_strict", "lemma1")},
     {"tol": 0.0},
-    {"witness_tol": 1e-3},
+    {"band": 1e-3},
 ])
 def test_pair_sweep_in_tiny_pieces_matches_every_labeled_graph(n, options, monkeypatch):
     # Pieces of 7 masks: the smallest slack must still be the one over all pieces.
+    options = _band(options, monkeypatch)
     oracle = sweep_labeled(n, dump_path=os.devnull, **options)
     monkeypatch.setattr(sweep_module, "_BATCH", 7)
     assert sweep_labeled(n, **options).to_dict() == oracle.to_dict()
 
 
-def test_a_class_flagged_by_some_of_its_pairs_counts_once():
+def test_a_class_flagged_by_some_of_its_pairs_counts_once(monkeypatch):
     # The edge of a witness band inside the rounded slacks of one class's
     # pairs: some of them are flagged and the others, kept by themselves,
     # must give way to the expanded copies of their class.
@@ -516,11 +523,12 @@ def test_a_class_flagged_by_some_of_its_pairs_counts_once():
     cls = np.array([sweep_module._orbit(n, int(r))[0] for r in masks])
     spread = {c: slack[cls == c] for c in np.unique(cls[applicable & ~CHECKS["intermediate"].steep(b)])}
     widest = max(spread.values(), key=np.ptp)
-    witness_tol = (widest.min() + widest.max()) / 2 - DUST_TOL
-    near = np.abs(widest) <= witness_tol + DUST_TOL
+    band = (widest.min() + widest.max()) / 2 - DUST_TOL
+    near = np.abs(widest) <= band + DUST_TOL
     assert near.any() and not near.all()
-    oracle = sweep_labeled(n, checks=("intermediate",), witness_tol=witness_tol, dump_path=os.devnull)
-    assert sweep_labeled(n, checks=("intermediate",), witness_tol=witness_tol).to_dict() == oracle.to_dict()
+    monkeypatch.setattr(sweep_module, "TIGHT_TOL", band)
+    oracle = sweep_labeled(n, checks=("intermediate",), dump_path=os.devnull)
+    assert sweep_labeled(n, checks=("intermediate",)).to_dict() == oracle.to_dict()
 
 
 @pytest.mark.parametrize("n, classes", [(7, 13), (8, 19)])
@@ -530,6 +538,29 @@ def test_each_expanded_class_computes_its_orbit_once(n, classes, monkeypatch):
     masks, weights = sweep_module._pairs(n)
     orbit, calls = sweep_module._orbit, []
     monkeypatch.setattr(sweep_module, "_orbit", lambda n, mask: calls.append(mask) or orbit(n, mask))
-    rep = sweep_module._process_classes(n, masks, weights, ALL_CHECKS, 1e-8, TIGHT_TOL)
+    rep = sweep_module._process_classes(n, masks, weights, ALL_CHECKS, 1e-8)
     assert len(calls) == len(set(calls)) == classes
     assert rep.graph_count == 1 << (n * (n - 1) // 2)
+
+
+def _count_eigensolved(monkeypatch):
+    """A list that np.linalg.eigvalsh appends the number of matrices it gets to."""
+    solve, counts = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counts.append(a.shape[0] if a.ndim == 3 else 1) or solve(a))
+    return counts
+
+
+@pytest.mark.parametrize("n, pairs, copies", [(7, 9_984, 2_534), (8, 133_632, 7_704)])
+def test_each_row_is_eigensolved_once(n, pairs, copies, monkeypatch):
+    # Pass 1 solves every pair and pass 2 every copy of an expanded class,
+    # each once: no batch is solved again to tally or to flag it.
+    counts = _count_eigensolved(monkeypatch)
+    sweep_labeled(n)
+    assert sum(counts) == pairs + copies
+
+
+def test_each_corpus_record_is_eigensolved_once(monkeypatch):
+    path = Path(__file__).resolve().parent / "golden" / "corpus.g6"
+    counts = _count_eigensolved(monkeypatch)
+    reports = sweep(corpus_records(str(path)))
+    assert sum(counts) == sum(rep.graph_count for rep in reports) == len(path.read_text().split())
