@@ -36,7 +36,8 @@ from .constructions import (
     verify_remark_spectrum,
 )
 # parse_graph6 is not called here: it stays bound for perfbench's tracer, which wraps it here.
-from .graphs import Graph6Error, decode_graph6, graph6_records, pair_batch, parse_graph6, write_graph6  # noqa: F401
+from .graphs import (_ORDER_MAX, Graph6Error, decode_graph6, graph6_records, pair_batch, parse_graph6,  # noqa: F401
+                     write_graph6)
 from .spectra import TIGHT_TOL, VIOLATION_TOL, eigenvalues, energy_values, group_spectrum
 from .srg import (
     extremal_family_params,
@@ -227,7 +228,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
+    checks = tuple(args.checks.split(",")) if args.checks is not None else ALL_CHECKS
     try:
         if args.n is not None:
             jobs = 1 if args.jobs is None else args.jobs
@@ -261,6 +262,8 @@ def _cmd_bound(args) -> int:
                 "applies": upper_bound_applies(args.n, args.m),
                 "upper_n": upper_bound_order(args.n),
             }
+        elif args.n > _ORDER_MAX:  # the scan is linear in C(n, 2)
+            raise ValueError(f"bound --n without --m scans every m, so it needs n <= {_ORDER_MAX}, got {args.n}")
         else:
             out = scan_order_bound(args.n)
         out["lower"] = lower_bound(args.n) if args.n >= 2 else None
@@ -272,10 +275,10 @@ def _cmd_bound(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite, non-negative float."""
+    """argparse type for --tol, a relative tolerance: a float in [0, 1]."""
     value = float(text)
-    if not math.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0 and at most 1, got {text!r}")
     return value
 
 
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="per-graph spectra, energies, bounds (graph6 in, JSON lines out)")
     p.add_argument("file", nargs="?", default="-", help="graph6 file, one record per line (default stdin)")
     p.add_argument("--skip-bad", action="store_true", help="skip malformed records instead of failing")
-    p.add_argument("--tol", type=_tolerance, default=TIGHT_TOL, help="equality-tag tolerance (relative)")
+    p.add_argument("--tol", type=_tolerance, default=TIGHT_TOL, help="equality-tag tolerance, relative, in [0, 1]")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("construct", help="build a named family member, graph6 to stdout")
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--corpus", help="graph6 file to sweep")
     p.add_argument("--checks", help=f"comma-separated subset of: {','.join(ALL_CHECKS)}")
     p.add_argument("--jobs", type=int, help="worker processes for --n (default 1)")
-    p.add_argument("--tol", type=_tolerance, default=VIOLATION_TOL, help="violation tolerance (relative)")
+    p.add_argument("--tol", type=_tolerance, default=VIOLATION_TOL, help="violation tolerance, relative, in [0, 1]")
     p.add_argument("--dump", help="write per-graph CSV rows to this file (serial only)")
     p.add_argument("--skip-bad", action="store_true", help="skip malformed corpus records")
     p.set_defaults(func=_cmd_verify)
@@ -329,7 +332,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.flush()
         except OSError:  # stdout itself failed: send what is left to devnull, so the exit flush is quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+            sys.stderr.flush()
+        except OSError:  # stderr is closed too: the exit code is all that is left
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return EXIT_USAGE
     return code
 

@@ -2,12 +2,14 @@
 
 Graphs are eigensolved in batches by a symmetric solver and every enabled
 check is evaluated vectorized per batch.  An exhaustive sweep on n vertices
-eigensolves each class representative of order n-1 once per neighbour set of
-a new vertex, counted with the representative's orbit size, and evaluates
-labeled copies only of the classes near a decision point.  Each batch is
-eigensolved and judged once (_Batch), and one tally (_tally) adds its rows to
-the report of its order; a sweep cut into pieces, serial or multiprocess,
-tallies their rows in mask order, so it gives the serial report.
+judges each class representative of order n-1 once per neighbour set of a
+new vertex, counted with the representative's orbit size, and evaluates
+labeled copies only of the classes near a decision point.  Its first pass
+sorts these pairs by their exact integer characteristic polynomial
+(_charpolys) and eigensolves one pair per run of equal polynomials.  Each
+batch is judged once (_Batch), and one tally (_tally) adds its rows to the
+report of its order; a sweep cut into pieces, serial or multiprocess,
+tallies their rows in order, so it gives the serial report.
 """
 
 from __future__ import annotations
@@ -193,21 +195,33 @@ class _Batch:
     and verdicts, each check's (applicable, violated, slack, bound) rows.
     Rows the solver flagged (not ok), and every row at an order a check
     skips, are not applicable.  Connectivity is computed only when a check
-    asks for it, and only on the rows it names."""
+    asks for it, and only on the rows it names.  Given keys, one label per
+    row with equal labels contiguous and equal labels only on rows with equal
+    characteristic polynomials, the first row of each run of equal labels is
+    eigensolved for the whole run; isolated vertices and connectivity are
+    still read from each row's own a."""
 
-    def __init__(self, n: int, a: np.ndarray, m: np.ndarray, checks: Tuple[str, ...], tol: float):
+    def __init__(self, n: int, a: np.ndarray, m: np.ndarray, checks: Tuple[str, ...], tol: float,
+                 keys: Optional[np.ndarray] = None):
         self.n, self.a, self.m, self.tol = n, a, m, tol
-        self.ok = np.ones(len(m), dtype=bool)
+        solved, run = a, None
+        if keys is not None:  # equal characteristic polynomials, equal spectra: solve each run's first row
+            first = np.ones(len(m), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            solved, run = a[first], np.cumsum(first) - 1
+        ok = np.ones(len(solved), dtype=bool)
         try:
-            w = np.linalg.eigvalsh(a)
+            w = np.linalg.eigvalsh(solved)
         except np.linalg.LinAlgError:
-            w = np.zeros((len(m), n))
-            for idx in range(len(m)):
+            w = np.zeros((len(solved), n))
+            for idx in range(len(solved)):
                 try:
-                    w[idx] = np.linalg.eigvalsh(a[idx])
+                    w[idx] = np.linalg.eigvalsh(solved[idx])
                 except np.linalg.LinAlgError:
-                    self.ok[idx] = False
-        self.w = w[:, ::-1]
+                    ok[idx] = False
+        if run is not None:
+            w, ok = w[run], ok[run]
+        self.w, self.ok = w[:, ::-1], ok
         trace_ok, frobenius_ok = invariants_hold(self.w, m)
         self.ok &= trace_ok & frobenius_ok
         self.he, self.alpha, self.beta = half_spectrum(self.w)
@@ -462,25 +476,68 @@ def _pieces(masks: np.ndarray, parts: int) -> List[np.ndarray]:
 
 
 def _piece(args):
-    """Eigensolve and judge one piece of masks: the rows to expand by every
-    rule but the smallest slack, the solver's mask, and each check's
-    (applicable, violated, slack) rows."""
-    n, masks, checks, tol = args
-    b = _Batch(n, *_mask_batch(n, masks), checks, tol)
+    """Eigensolve and judge one piece of masks, one solve per run of equal
+    keys if keys are given (_Batch): the rows to expand by every rule but the
+    smallest slack, the solver's mask, and each check's (applicable,
+    violated, slack) rows."""
+    n, masks, checks, tol, keys = args
+    b = _Batch(n, *_mask_batch(n, masks), checks, tol, keys)
     flag = ~b.ok
     for name, (applicable, viol, slack, bound) in b.verdicts.items():
         flag |= viol | _near_decision(CHECKS[name], b, applicable, slack, bound, tol)
     return flag, b.ok, {name: v[:3] for name, v in b.verdicts.items()}
 
 
-def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _charpolys(n: int, reps: np.ndarray) -> np.ndarray:
+    """The characteristic polynomials of the pairs (H, S) on n >= 1 vertices,
+    H one of the edge masks reps of order k = n-1 and S each of its 2^k
+    neighbour sets in _pairs' order: (len(reps) * 2^k, n) int64, the
+    coefficients of x^(n-1), ..., x^0 below the leading 1.
+
+    p_H = sum_i a_i x^(k-i) comes from Faddeev-LeVerrier in trace form,
+    a_j = -sum_{i<j} a_i tr(A^(j-i)) / j.  By the Schur complement
+    p_G(x) = x p_H(x) - s^T adj(xI - A) s, and adj(xI - A) =
+    sum_{j<k} x^(k-1-j) sum_{i<=j} a_i A^(j-i), so p_G needs only the walk
+    counts w_t = s^T A^t s, t < k: one matmul of the powers of A against
+    the 2^k products s s^T.  Every entry is an integer far below 2^53, so
+    the float64 arithmetic is exact."""
+    k = n - 1
+    a = _mask_batch(k, reps)[0]
+    powers = [np.broadcast_to(np.eye(k), a.shape)]
+    for _ in range(k):
+        powers.append(powers[-1] @ a)
+    powers = np.stack(powers, axis=1)  # (classes, k+1, k, k): A^0 .. A^k
+    traces = np.trace(powers, axis1=2, axis2=3)
+    coef = np.zeros((len(reps), n + 1))  # of x p_H: a_0 .. a_k, then 0
+    coef[:, 0] = 1.0
+    for j in range(1, n):
+        coef[:, j] = -(coef[:, :j] * traces[:, j:0:-1]).sum(axis=1) / j
+    s = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    ssT = (s[:, :, None] & s[:, None, :]).reshape(1 << k, k * k).astype(np.float64)
+    walks = (powers[:, :k].reshape(len(reps), k, k * k) @ ssT.T).transpose(0, 2, 1)  # (classes, 2^k, t)
+    poly = np.repeat(coef[:, None, 1:], 1 << k, axis=1)
+    for i in range(k):  # subtract a_i w_t from the coefficient of x^(k-1-i-t)
+        poly[:, :, i + 1:] -= coef[:, None, i, None] * walks[:, :, :k - i]
+    return poly.reshape(-1, n).astype(np.int64)
+
+
+def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edge masks of the pairs (H, S) on n >= 1 vertices, H a class
     representative of order n-1 and S the neighbour set of vertex n-1 in the
-    last n-1 mask bits, and their weights, the orbit size of H."""
+    last n-1 mask bits; their weights, the orbit size of H; and the rank of
+    their characteristic polynomial (_charpolys) among the distinct ones.
+    The pairs are sorted by polynomial, so cospectral pairs are contiguous;
+    the sort is stable.  Ranks rather than the polynomials go on to pass 1:
+    8 bytes a pair instead of 8n."""
     reps, sizes = _classes(n - 1)
     span = 1 << (n - 1)
     masks = reps[:, None] | np.arange(span, dtype=np.int64) << ((n - 1) * (n - 2) // 2)
-    return masks.ravel(), np.repeat(sizes, span)
+    polys = _charpolys(n, reps)
+    order = np.lexsort(polys.T[::-1])
+    polys = polys[order]
+    ranks = np.zeros(len(polys), dtype=np.int64)
+    np.cumsum((polys[1:] != polys[:-1]).any(axis=1), out=ranks[1:])
+    return masks.ravel()[order], np.repeat(sizes, span)[order], ranks
 
 
 def _process_classes(
@@ -490,10 +547,13 @@ def _process_classes(
     checks: Tuple[str, ...],
     tol: float,
     jobs: int = 1,
+    keys: Optional[np.ndarray] = None,
 ) -> SweepReport:
     """Sweep the labeled graphs on n vertices that masks stand for, mask i
     counted weights[i] times: the classes of order n with their orbit sizes,
-    or sweep_labeled's augmentation pairs.
+    or sweep_labeled's augmentation pairs.  keys, if given, label the masks
+    by characteristic polynomial, equal labels contiguous (_pairs' ranks);
+    each piece of pass 1 eigensolves one row per run of them (_Batch).
 
     Both passes judge their masks piece by piece (_piece) and keep only
     each check's row verdicts.  In pass 1 a mask is flagged if the solver
@@ -512,14 +572,16 @@ def _process_classes(
     with (ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext()) as pool:
         pmap = map if pool is None else pool.map
 
-        def solve(rows: np.ndarray):
+        def solve(rows: np.ndarray, keys: Optional[np.ndarray] = None):
             """flag, ok and each check's verdicts of the masks rows, judged
             piece by piece and concatenated in order."""
-            done = list(pmap(_piece, [(n, p, checks, tol) for p in _pieces(rows, parts)]))
+            pieces = _pieces(rows, parts)
+            keyed = [None] * len(pieces) if keys is None else _pieces(keys, parts)
+            done = list(pmap(_piece, [(n, p, checks, tol, k) for p, k in zip(pieces, keyed)]))
             flag, ok = (np.concatenate([d[k] for d in done]) for k in (0, 1))
             return flag, ok, {c: [np.concatenate(col) for col in zip(*(d[2][c] for d in done))] for c in checks}
 
-        flag, ok, verdicts = solve(masks)
+        flag, ok, verdicts = solve(masks, keys)
         for applicable, _, slack in verdicts.values():
             if applicable.any():
                 flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
@@ -549,9 +611,10 @@ def sweep_labeled(
     neighbour set S of vertex n-1, the last n-1 bits of its edge mask.  So
     the pairs (H, S), with H one representative per class of order n-1
     (_classes) weighted by its orbit size, stand for every labeled graph:
-    _process_classes eigensolves each pair once and evaluates copy by copy
-    only the classes near a decision point, so the report equals a sweep of
-    every labeled graph.  Dumping per-graph CSV rows evaluates every copy,
+    _process_classes judges each pair once, eigensolving one pair per
+    distinct characteristic polynomial, and evaluates copy by copy only the
+    classes near a decision point, so the report equals a sweep of every
+    labeled graph.  Dumping per-graph CSV rows evaluates every copy,
     in edge-mask order; it requires the serial path and n <= 7.  jobs > 1
     cuts each pass into up to 8*jobs parts, one per 1024 labeled graphs;
     the report is identical to the serial one.  At most
@@ -568,7 +631,8 @@ def sweep_labeled(
         raise ValueError(f"per-graph CSV dump needs n <= {_DUMP_MAX_N}; n={n} would write "
                          f"{1 << (n * (n - 1) // 2):,} rows")
     if not dump_path:
-        return _process_classes(n, *_pairs(n), checks, tol, jobs=jobs).finalize()
+        masks, weights, keys = _pairs(n)
+        return _process_classes(n, masks, weights, checks, tol, jobs=jobs, keys=keys).finalize()
     rep = SweepReport.for_checks(n, checks)
     with _dump_writer(dump_path) as dump:
         for piece in _pieces(np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), 1):

@@ -106,12 +106,21 @@ def test_non_ascii_byte_is_a_parse_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["verify", "--n", "3"], ["analyze"]])
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "1e308", "1.5"])
 def test_bad_tolerance_rejected(capsys, command, tol):
     with pytest.raises(SystemExit) as exc:
         main(command + [f"--tol={tol}"])
     assert exc.value.code == 2
-    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "tolerance must be finite and >= 0" in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--n", "3"], ["analyze"]])
+def test_largest_tolerance_accepted(capsys, monkeypatch, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    code, out, err = run(capsys, command + ["--tol=1"])
+    assert code == 0 and err == ""
 
 
 def test_analyze_missing_file(capsys):
@@ -238,6 +247,15 @@ def test_verify_bad_check_name(capsys):
     assert code == 2 and "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", ["", ","])
+@pytest.mark.parametrize("source", [["--n", "3"], ["--corpus", str(Path(__file__).resolve().parent / "golden" / "corpus.g6")]])
+def test_verify_empty_check_list_is_a_usage_error(capsys, checks, source):
+    # An empty --checks names no check; it does not mean every check.
+    code, out, err = run(capsys, ["verify", *source, "--checks", checks])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown check ''") and err.count("\n") == 1
+
+
 def test_verify_corpus(capsys, tmp_path):
     path = tmp_path / "corpus.g6"
     path.write_text("Bw\nC~\nDhc\n")
@@ -360,6 +378,29 @@ def test_bound_errors(capsys):
     assert code == 2
 
 
+def test_bound_scan_refuses_orders_above_the_limit(capsys):
+    code, out, err = run(capsys, ["bound", "--n", "8193"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "n <= 8192" in err and err.count("\n") == 1
+    # The scan is linear in C(n, 2): at n = 10^9 it would not end, so this
+    # one runs as its own program, with a time limit.
+    proc = _cli(["bound", "--n", "1000000000"], stdout=subprocess.PIPE)
+    try:
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out) == (2, "") and "n <= 8192" in err
+
+
+def test_bound_scan_limit_is_the_order_limit(capsys):
+    code, out, err = run(capsys, ["bound", "--n", "8192"])
+    assert code == 0 and json.loads(out)["n"] == 8192
+    # One (n, m) evaluation takes constant time and keeps any order.
+    code, out, err = run(capsys, ["bound", "--n", "1000000000", "--m", "5"])
+    assert code == 0 and json.loads(out)["regime"] == "first"
+
+
 def test_argparse_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -461,12 +502,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def _cli(argv, **kwargs) -> subprocess.Popen:
     """Start the CLI as its own program, with this checkout's src on the path
-    and stdout block-buffered, as Python leaves it for a pipe or a file."""
+    and stdout block-buffered, as Python leaves it for a pipe or a file;
+    stderr is a pipe unless kwargs say otherwise."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.Popen([sys.executable, "-m", "huckel.cli", *argv], env=env, stderr=subprocess.PIPE,
-                            text=True, **kwargs)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.Popen([sys.executable, "-m", "huckel.cli", *argv], env=env, text=True, **kwargs)
 
 
 def _assert_io_error(proc: subprocess.Popen, err: str) -> None:
@@ -492,6 +534,15 @@ def test_closed_stdout_pipe_is_an_io_error(argv):
     proc.stderr.close()
     _assert_io_error(proc, err)
     assert "Broken pipe" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze", str(GOLDEN / "corpus.g6")], ["verify", "--n", "6"]])
+def test_closed_stdout_and_stderr_pipe_exits_2(argv):
+    # As in `huckel verify --n 6 2>&1 | head -c 1`: the error line has
+    # nowhere to go, and the exit code must still say I/O error.
+    proc = _cli(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    proc.stdout.close()
+    assert proc.wait() == 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

@@ -476,7 +476,7 @@ def test_permutation_table_holds_every_mask_bit():
 
 
 def test_pair_weights_count_every_labeled_graph():
-    masks, weights = sweep_module._pairs(8)
+    masks, weights, _ = sweep_module._pairs(8)
     assert len(masks) == 1044 << 7  # the classes of order 7, times the 2^7 neighbour sets
     assert len(np.unique(masks)) == len(masks)
     assert int(weights.sum()) == 1 << 28
@@ -484,9 +484,79 @@ def test_pair_weights_count_every_labeled_graph():
 
 def test_the_pairs_of_a_class_weigh_its_orbit_size():
     n = 6
-    masks, weights = sweep_module._pairs(n)
+    masks, weights, _ = sweep_module._pairs(n)
     for r, size in zip(*sweep_module._classes(n)):
         assert int(weights[np.isin(masks, sweep_module._orbit(n, int(r)))].sum()) == size
+
+
+def _faddeev_leverrier(a: np.ndarray) -> np.ndarray:
+    """The characteristic polynomials of a (B, n, n) integer batch, leading 1
+    first, by Faddeev-LeVerrier on the whole matrix in int64."""
+    n = a.shape[1]
+    a = a.astype(np.int64)
+    coef = np.zeros((len(a), n + 1), dtype=np.int64)
+    coef[:, 0] = 1
+    m = np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)
+    for j in range(1, n + 1):
+        am = a @ m
+        trace = np.trace(am, axis1=1, axis2=2)
+        assert (trace % j == 0).all()
+        coef[:, j] = -trace // j
+        m = am + coef[:, j, None, None] * np.eye(n, dtype=np.int64)
+    return coef
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_polynomials_equal_faddeev_leverrier(n):
+    reps, _ = sweep_module._classes(n - 1)
+    masks = (reps[:, None] | np.arange(1 << (n - 1), dtype=np.int64) << ((n - 1) * (n - 2) // 2)).ravel()
+    polys = sweep_module._charpolys(n, reps)
+    if n == 8:  # a seeded sample of the 133,632 pairs
+        at = np.random.default_rng(8).choice(len(masks), 20_000, replace=False)
+        masks, polys = masks[at], polys[at]
+    assert polys.dtype == np.int64
+    assert np.array_equal(polys, _faddeev_leverrier(sweep_module._mask_batch(n, masks)[0])[:, 1:])
+
+
+@pytest.mark.parametrize("n, distinct", [(5, 33), (6, 151), (7, 988), (8, 11_453)])
+def test_cospectral_pairs_share_one_spectrum(n, distinct):
+    # The pairs come sorted by polynomial and ranked: equal ranks are
+    # contiguous, and equal polynomials.  The spectra of a run, each solved
+    # by itself, agree with its first to rounding.
+    masks, _, ranks = sweep_module._pairs(n)
+    assert np.array_equal(np.unique(ranks), np.arange(distinct))
+    assert (np.diff(ranks) >= 0).all()
+    a = sweep_module._mask_batch(n, masks)[0]
+    polys = _faddeev_leverrier(a)
+    first = np.concatenate(([True], ranks[1:] != ranks[:-1]))
+    assert np.array_equal(polys, polys[first][ranks])
+    assert len(np.unique(polys[first], axis=0)) == distinct
+    w = np.linalg.eigvalsh(a)
+    assert float(np.abs(w - w[first][ranks]).max()) <= 1e-12
+
+
+def test_a_run_shares_its_solve_and_its_solver_failure(monkeypatch):
+    n = 6
+    masks, _, run = sweep_module._pairs(n)
+    first = np.concatenate(([True], run[1:] != run[:-1]))
+    failing = int(np.flatnonzero(np.bincount(run) > 1)[0])  # a run of several pairs
+    a, m = sweep_module._mask_batch(n, masks)
+    bad = a[np.flatnonzero(first)[failing]].copy()
+    solve = np.linalg.eigvalsh
+
+    def flaky(x):
+        if x.ndim == 3 or np.array_equal(x, bad):
+            raise np.linalg.LinAlgError("did not converge")
+        return solve(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+    b = sweep_module._Batch(n, a, m, ALL_CHECKS, 1e-8, run)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    assert np.array_equal(~b.ok, run == failing)
+    own = solve(a)[:, ::-1]
+    assert float(np.abs(b.w - own)[b.ok].max()) <= 1e-12
+    assert np.array_equal(b.w, b.w[np.flatnonzero(first)][run])
+    assert np.array_equal(b.isolated, (a.sum(axis=2) == 0).any(axis=1))
 
 
 def test_parallel_order_8_matches_serial(monkeypatch):
@@ -515,9 +585,11 @@ def test_pair_sweep_in_tiny_pieces_matches_every_labeled_graph(n, options, monke
 def test_a_class_flagged_by_some_of_its_pairs_counts_once(monkeypatch):
     # The edge of a witness band inside the rounded slacks of one class's
     # pairs: some of them are flagged and the others, kept by themselves,
-    # must give way to the expanded copies of their class.
+    # must give way to the expanded copies of their class.  A class's pairs
+    # share one characteristic polynomial, so in one piece they share one
+    # solve; pieces of one row solve each pair by itself.
     n = 5
-    masks, _ = sweep_module._pairs(n)
+    masks, _, _ = sweep_module._pairs(n)
     b, verdicts = _copies(n, masks)
     applicable, _, slack, _ = verdicts["intermediate"]
     cls = np.array([sweep_module._orbit(n, int(r))[0] for r in masks])
@@ -529,16 +601,18 @@ def test_a_class_flagged_by_some_of_its_pairs_counts_once(monkeypatch):
     monkeypatch.setattr(sweep_module, "TIGHT_TOL", band)
     oracle = sweep_labeled(n, checks=("intermediate",), dump_path=os.devnull)
     assert sweep_labeled(n, checks=("intermediate",)).to_dict() == oracle.to_dict()
+    monkeypatch.setattr(sweep_module, "_BATCH", 1)
+    assert sweep_labeled(n, checks=("intermediate",)).to_dict() == oracle.to_dict()
 
 
 @pytest.mark.parametrize("n, classes", [(7, 13), (8, 19)])
 def test_each_expanded_class_computes_its_orbit_once(n, classes, monkeypatch):
     # 28 flagged pairs at n = 7 and 39 at n = 8 lie in 13 and 19 classes; a
     # flagged pair inside an orbit already expanded computes no orbit.
-    masks, weights = sweep_module._pairs(n)
+    masks, weights, keys = sweep_module._pairs(n)
     orbit, calls = sweep_module._orbit, []
     monkeypatch.setattr(sweep_module, "_orbit", lambda n, mask: calls.append(mask) or orbit(n, mask))
-    rep = sweep_module._process_classes(n, masks, weights, ALL_CHECKS, 1e-8)
+    rep = sweep_module._process_classes(n, masks, weights, ALL_CHECKS, 1e-8, keys=keys)
     assert len(calls) == len(set(calls)) == classes
     assert rep.graph_count == 1 << (n * (n - 1) // 2)
 
@@ -550,13 +624,18 @@ def _count_eigensolved(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("n, pairs, copies", [(7, 9_984, 2_534), (8, 133_632, 7_704)])
-def test_each_row_is_eigensolved_once(n, pairs, copies, monkeypatch):
-    # Pass 1 solves every pair and pass 2 every copy of an expanded class,
-    # each once: no batch is solved again to tally or to flag it.
+@pytest.mark.parametrize("n, polynomials, copies", [(7, 988, 2_534), (8, 11_453, 7_704)])
+def test_each_row_is_eigensolved_once(n, polynomials, copies, monkeypatch):
+    # Pass 1 solves one pair per distinct characteristic polynomial, and once
+    # more for each run of equal polynomials that a piece boundary cuts;
+    # pass 2 solves every copy of an expanded class once.  No batch is solved
+    # again to tally or to flag it.
     counts = _count_eigensolved(monkeypatch)
     sweep_labeled(n)
-    assert sum(counts) == pairs + copies
+    pieces = len(sweep_module._pieces(sweep_module._pairs(n)[0], 1))
+    assert len(counts) == pieces + 1
+    assert polynomials + copies <= sum(counts) <= polynomials + (pieces - 1) + copies
+    assert counts[-1] == copies
 
 
 def test_each_corpus_record_is_eigensolved_once(monkeypatch):
