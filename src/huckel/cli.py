@@ -154,7 +154,7 @@ def _cmd_construct(args) -> int:
         if family == "conference":
             if q is None or t is not None:
                 raise ConstructionError("construct conference takes --q (a prime power, 1 mod 4) and no --t")
-            g = paley_graph(q, adjacency="square")
+            g = paley_graph(q)
             t_eff = (q - 1) // 4
             cert = {"family": family, "q": q, "t": t_eff}
         else:

@@ -20,21 +20,19 @@ class ConstructionError(RuntimeError):
     """A construction's post-condition failed or a hypothesis is unmet."""
 
 
-def _paley_from_field(field: FiniteField, adjacency: str) -> Graph:
-    if adjacency not in ("square", "nonsquare"):
-        raise ValueError(f"adjacency must be 'square' or 'nonsquare', got {adjacency!r}")
+def _paley_from_field(field: FiniteField, square: bool) -> Graph:
+    """i ~ j iff i - j is a square (square=True) or a nonsquare in field."""
     # Pairs i < j decide and are mirrored: symmetric even if -1 is a nonsquare.
-    adj = np.triu(field.squares()[field.difference_table()] == (adjacency == "square"), 1)
+    adj = np.triu(field.squares()[field.difference_table()] == square, 1)
     bits = np.packbits(adj | adj.T, axis=1, bitorder="little")
     return Graph._from_rows_unchecked(field.order, tuple(int.from_bytes(r, "little") for r in bits))
 
 
-def paley_graph(q: int, adjacency: str = "square") -> Graph:
+def paley_graph(q: int) -> Graph:
     """Paley graph on GF(q), q a prime power with q = 1 mod 4.
 
     Vertices are field elements in coefficient order; i ~ j iff i - j is a
-    square (or a nonsquare, per the adjacency flag).  q = 1 mod 4 makes -1 a
-    square, so the relation is symmetric.
+    square.  q = 1 mod 4 makes -1 a square, so the relation is symmetric.
     """
     if q > _ORDER_MAX:
         raise ConstructionError(f"q={q} gives a graph of order {q}, above the order limit {_ORDER_MAX}")
@@ -43,7 +41,7 @@ def paley_graph(q: int, adjacency: str = "square") -> Graph:
         raise ConstructionError(f"q={q} is not a prime power")
     if q % 4 != 1:
         raise ConstructionError(f"q={q} is not 1 mod 4; the difference relation would not be symmetric")
-    return _paley_from_field(make_field(*pp), adjacency)
+    return _paley_from_field(make_field(*pp), True)
 
 
 def build_switched_srg(t: int) -> Graph:
@@ -64,7 +62,7 @@ def build_switched_srg(t: int) -> Graph:
         raise ConstructionError(f"construction requires q = 2t+1 to be a prime power; q={q} is not")
     p, e = pp
     big = make_field(p, 2 * e)
-    gamma = _paley_from_field(big, "nonsquare")
+    gamma = _paley_from_field(big, False)
     cosets = subfield_coset_partition(big, q)
     g = add_isolated_vertex(gamma)
     switch_set = [v for coset in cosets[:t] for v in coset]
@@ -157,11 +155,11 @@ class RemarkSpectrumReport:
     cubic_roots: Tuple[float, float, float]
 
 
-def verify_remark_spectrum(h: Graph, t: int, tol: float = TIGHT_TOL,
-                           spectrum: Optional[Spectrum] = None) -> RemarkSpectrumReport:
+def verify_remark_spectrum(h: Graph, t: int, spectrum: Optional[Spectrum] = None) -> RemarkSpectrumReport:
     """Match h's spectrum (computed unless given) against the duplicated-vertex
     template {x1, t^(2t^2+2t-1), x2, 0, (-t-1)^(2t^2+2t), x3}, x1 >= x2 >= x3
-    the cubic's roots.  The report carries per-entry deviations."""
+    the cubic's roots: it matches when every entry is within TIGHT_TOL.  The
+    report carries per-entry deviations."""
     n = 4 * t * t + 4 * t + 3
     if h.n != n:
         raise ValueError(f"graph has {h.n} vertices, template needs {n}")
@@ -174,7 +172,7 @@ def verify_remark_spectrum(h: Graph, t: int, tol: float = TIGHT_TOL,
     deviations = tuple(float(c) - e for c, e in zip(spec.values, template))
     max_dev = max(abs(d) for d in deviations)
     return RemarkSpectrumReport(
-        matches=max_dev <= tol,
+        matches=max_dev <= TIGHT_TOL,
         max_deviation=max_dev,
         expected=tuple(template),
         computed=tuple(float(x) for x in spec.values),

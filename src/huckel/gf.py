@@ -10,7 +10,7 @@ exponent/log tables built from the first primitive element.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -125,16 +125,6 @@ class FiniteField:
                 if not any(rem):
                     return False
         return True
-
-    def coeffs(self, x: int) -> Tuple[int, ...]:
-        """Coefficient vector (c_0, ..., c_{e-1}) of element index x."""
-        self._check(x)
-        return tuple(self._digits(x, self.e))
-
-    def element(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) != self.e:
-            raise ValueError(f"need {self.e} coefficients")
-        return sum((c % self.p) * self._pp[i] for i, c in enumerate(coeffs))
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product reduced by the modulus (no tables)."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
@@ -29,10 +30,14 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
+        # operator.index keeps n and the rows Python ints: a numpy integer
+        # would shift as int64, dropping bits above 63 and breaking dense().
+        n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         rows = [0] * n
-        for i, j in edges:
+        for edge in edges:
+            i, j = map(operator.index, edge)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
             if i == j:
@@ -52,67 +57,9 @@ class Graph:
         object.__setattr__(g, "rows", rows)
         return g
 
-    @classmethod
-    def from_rows(cls, n: int, rows: Iterable[int]) -> "Graph":
-        rows = tuple(rows)
-        if len(rows) != n:
-            raise ValueError("row count must equal n")
-        mask = (1 << n) - 1
-        for i, r in enumerate(rows):
-            if r & ~mask:
-                raise ValueError(f"row {i} has bits beyond vertex {n - 1}")
-            if (r >> i) & 1:
-                raise ValueError(f"loop at vertex {i} not allowed")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if ((rows[i] >> j) & 1) != ((rows[j] >> i) & 1):
-                    raise ValueError(f"rows not symmetric at pair ({i},{j})")
-        return cls._from_rows_unchecked(n, rows)
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n)
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        mask = (1 << n) - 1
-        return cls._from_rows_unchecked(n, tuple(mask ^ (1 << i) for i in range(n)))
-
-    @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
-        return cls(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def star(cls, n: int, center: int = 0) -> "Graph":
-        if n < 1:
-            raise ValueError("star needs n >= 1")
-        return cls(n, [(center, v) for v in range(n) if v != center])
-
-    def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
-    def degrees(self) -> List[int]:
-        return [r.bit_count() for r in self.rows]
-
     @property
     def m(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        for i in range(self.n):
-            r = self.rows[i] >> (i + 1)
-            j = i + 1
-            while r:
-                if r & 1:
-                    yield (i, j)
-                r >>= 1
-                j += 1
 
     def dense(self) -> np.ndarray:
         """Adjacency matrix as a float64 numpy array."""
@@ -159,7 +106,7 @@ def add_duplicate_vertex(g: Graph, v: int) -> Graph:
 def seidel_switch(g: Graph, switch_set: Iterable[int]) -> Graph:
     """Complement all edges/non-edges between switch_set and its complement."""
     y = 0
-    for v in switch_set:
+    for v in map(operator.index, switch_set):
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
         y |= 1 << v
@@ -240,11 +187,6 @@ def pair_batch(n: int, bits: np.ndarray, dtype=np.float64) -> np.ndarray:
     a = np.zeros((len(bits), n, n), dtype=np.uint8)  # scattered as bytes, then widened: faster
     a[:, lower] = bits
     return (a | a.transpose(0, 2, 1)).astype(dtype, copy=False)
-
-
-def pair_bits(g: Graph) -> np.ndarray:
-    """The uint8 pair bits of g in graph6 order: pair_batch's inverse."""
-    return g.dense()[np.tri(g.n, k=-1, dtype=bool)].astype(np.uint8)
 
 
 def _body_bits(n: int, body: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -48,11 +48,11 @@ class EnergyValues:
     r: int
 
 
-def eigenvalues(g: Union[Graph, np.ndarray], tol: float = SOLVER_TOL) -> Spectrum:
+def eigenvalues(g: Union[Graph, np.ndarray]) -> Spectrum:
     """Full spectrum of g (or its float64 adjacency) via a backward-stable symmetric eigensolver.
 
     The residual max_i ||A v_i - w_i v_i||_inf is computed from the returned
-    eigenpairs and checked against tol*n*max(1, |w_1|); trace and Frobenius
+    eigenpairs and checked against SOLVER_TOL*n*max(1, |w_1|); trace and Frobenius
     identities are enforced as well.  Failures raise SpectralError.
     """
     a = g.dense() if isinstance(g, Graph) else g
@@ -66,8 +66,8 @@ def eigenvalues(g: Union[Graph, np.ndarray], tol: float = SOLVER_TOL) -> Spectru
     residual = float(np.abs(a @ v - v * w).max())
     w = w[::-1].copy()
     lam1 = abs(float(w[0]))
-    if residual > tol * n * max(1.0, lam1):
-        raise SpectralError(f"residual {residual:.3e} exceeds {tol:.1e}*n*max(1,|w1|) for n={n}")
+    if residual > SOLVER_TOL * n * max(1.0, lam1):
+        raise SpectralError(f"residual {residual:.3e} exceeds {SOLVER_TOL:.1e}*n*max(1,|w1|) for n={n}")
     m = int(a.sum()) // 2
     trace_ok, frobenius_ok = invariants_hold(w, m)
     if not trace_ok:
@@ -132,16 +132,16 @@ def energy_values(s: Spectrum) -> EnergyValues:
     )
 
 
-def group_spectrum(values: Sequence[float], gap: float = TIGHT_TOL) -> List[Tuple[float, int]]:
+def group_spectrum(values: Sequence[float]) -> List[Tuple[float, int]]:
     """Collapse a sorted spectrum into (representative, multiplicity) runs.
 
-    Consecutive values closer than gap join the same run; the representative
+    Consecutive values within TIGHT_TOL join the same run; the representative
     is the run mean.
     """
     out: List[Tuple[float, int]] = []
     run: List[float] = []
     for x in values:
-        if run and abs(run[-1] - float(x)) > gap:
+        if run and abs(run[-1] - float(x)) > TIGHT_TOL:
             out.append((sum(run) / len(run), len(run)))
             run = []
         run.append(float(x))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -569,6 +568,8 @@ def _process_classes(
     rep = SweepReport.for_checks(n, checks)
     parts = 1 if jobs == 1 else min(8 * jobs, max(1, int(weights.sum()) >> 10))
     workers = min(jobs, os.cpu_count() or 1, parts)
+    if jobs > 1:  # imported only here: it loads multiprocessing, which a serial sweep does not use
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext()) as pool:
         pmap = map if pool is None else pool.map
 

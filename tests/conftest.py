@@ -1,24 +1,40 @@
-"""Shared test helpers: seeded random graphs and corpus records."""
+"""Shared test helpers: graph builders, seeded random graphs and corpus records."""
 
 import importlib
+import itertools
 import random
 
 import numpy as np
 
-from huckel.graphs import Graph, pair_bits, parse_graph6, write_graph6
+from huckel.graphs import Graph, parse_graph6, write_graph6
 
 S = importlib.import_module("huckel.sweep")  # the package's sweep() shadows the module
 
 
+def complete(n: int) -> Graph:
+    return Graph(n, itertools.combinations(range(n), 2))
+
+
+def cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star(n: int, center: int = 0) -> Graph:
+    return Graph(n, [(center, v) for v in range(n) if v != center])
+
+
+def pair_bits(g: Graph) -> np.ndarray:
+    """The uint8 pair bits of g in graph6 order: pair_batch's inverse."""
+    return g.dense()[np.tri(g.n, k=-1, dtype=bool)].astype(np.uint8)
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     """Erdos-Renyi G(n, p) from an explicit RNG, as a bit-packed Graph."""
-    rows = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph.from_rows(n, rows)
+    return Graph(n, [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p])
 
 
 def graph_records(graphs):

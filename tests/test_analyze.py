@@ -13,11 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import complete, random_graph
 from huckel import cli, graphs
 from huckel.bounds import bound_report, classify_equality
 from huckel.constructions import build_extremal_srg, paley_graph
-from huckel.graphs import Graph, Graph6Error, add_isolated_vertex, decode_graph6, pair_batch, parse_graph6, write_graph6
+from huckel.graphs import (
+    Graph,
+    Graph6Error,
+    add_isolated_vertex,
+    decode_graph6,
+    pair_batch,
+    pair_order,
+    parse_graph6,
+    write_graph6,
+)
 from huckel.spectra import eigenvalues
 from huckel.srg import srg_params
 from test_corpus import MALFORMED, MIDFILE
@@ -62,8 +71,7 @@ def old_parse_graph6(text: str) -> Graph:
     bits, clean = graphs._body_bits(n, np.frombuffer(body.encode("latin-1"), np.uint8)[None] - np.uint8(63))
     if not clean[0]:
         raise Graph6Error(f"nonzero padding bit in final group (byte position {body_start + need - 1})")
-    packed = np.packbits(pair_batch(n, bits, np.uint8)[0], axis=1, bitorder="little")
-    return Graph.from_rows(n, [int.from_bytes(row, "little") for row in packed])
+    return Graph(n, [pair for pair, bit in zip(pair_order(n), bits[0]) if bit])
 
 
 def old_round12(obj):
@@ -151,7 +159,7 @@ def _seeded_records():
     rng = random.Random(0xA1)
     gs = []
     for n in range(71):
-        gs += [Graph.empty(n), Graph.complete(n), random_graph(rng, n, rng.random())]
+        gs += [Graph(n), complete(n), random_graph(rng, n, rng.random())]
         if 2 <= n <= 62:
             gs.append(add_isolated_vertex(random_graph(rng, n - 1, 0.7)))
     gs += [paley_graph(13), build_extremal_srg(1), build_extremal_srg(2)]

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import complete, cycle, path, random_graph, star
 from huckel.graphs import Graph, add_isolated_vertex, disjoint_union
 from huckel.bounds import (
     _last_first_m,
@@ -150,7 +150,7 @@ def test_lower_bound_values():
 
 def test_lower_bound_star_equality():
     for n in (2, 3, 5, 9, 17):
-        he = energy_values(eigenvalues(Graph.star(n))).huckel
+        he = energy_values(eigenvalues(star(n))).huckel
         assert he == pytest.approx(lower_bound(n), abs=1e-9)
 
 
@@ -162,7 +162,7 @@ def test_intermediate_bounds_even():
 
 
 def test_intermediate_bounds_odd():
-    c5 = energy_values(eigenvalues(Graph.cycle(5)))
+    c5 = energy_values(eigenvalues(cycle(5)))
     f1, f2 = intermediate_bounds(5, 5, c5.alpha, c5.beta)
     # Both refinements are tight on the 5-cycle.
     assert f1 == pytest.approx(c5.huckel, abs=1e-9)
@@ -241,11 +241,11 @@ def test_half_moment_check_known_violations():
     # The m >= n-1 hypothesis is not sufficient: these two inputs are real
     # graphs (3-vertex path; K4 plus three isolated vertices) that land
     # above the claimed 4m^2/n^2 ceiling, and the check reports it.
-    p3 = energy_values(eigenvalues(Graph.path(3)))
+    p3 = energy_values(eigenvalues(path(3)))
     assert p3.alpha == pytest.approx(2.0, abs=1e-12)
     assert lemma1_check(3, 2, p3.alpha) == "violated"
 
-    k4_iso = disjoint_union(Graph.complete(4), Graph.empty(3))
+    k4_iso = disjoint_union(complete(4), Graph(3))
     ev = energy_values(eigenvalues(k4_iso))
     assert ev.alpha == pytest.approx(9.0, abs=1e-9)  # alpha/r = 3 > 144/49
     assert lemma1_check(7, 6, ev.alpha) == "violated"
@@ -266,7 +266,7 @@ def test_half_moment_holds_above_tree_density(seed):
 
 
 def test_bound_report_cycle4():
-    rep = bound_report(Graph.cycle(4))
+    rep = bound_report(cycle(4))
     assert (rep.n, rep.m) == (4, 4)
     assert rep.upper_nm == pytest.approx(16.0 / 3.0, abs=1e-12)
     assert rep.upper_nm_regime == "first"
@@ -282,21 +282,21 @@ def test_bound_report_cycle4():
 
 
 def test_bound_report_edge_orders():
-    rep0 = bound_report(Graph.empty(1))
+    rep0 = bound_report(Graph(1))
     assert rep0.upper_nm is None and rep0.lower is None
     assert not rep0.upper_nm_applies
-    iso = bound_report(add_isolated_vertex(Graph.complete(3)))
+    iso = bound_report(add_isolated_vertex(complete(3)))
     assert iso.has_isolated and not iso.lower_applies
 
 
 def test_classify_equality():
-    assert classify_equality(bound_report(Graph.star(5))) == {"lower_tight"}
-    assert classify_equality(bound_report(Graph.complete(2))) == {
+    assert classify_equality(bound_report(star(5))) == {"lower_tight"}
+    assert classify_equality(bound_report(complete(2))) == {
         "lower_tight",
         "upper_n_tight",
         "upper_nm_tight",
     }
-    assert classify_equality(bound_report(Graph.cycle(5))) == set()
+    assert classify_equality(bound_report(cycle(5))) == set()
 
 
 def test_scan_order_bound_even():

@@ -479,7 +479,8 @@ def test_records_over_the_order_limit_are_parse_errors(capsys, tmp_path):
 
 def test_verify_and_analyze_do_not_import_numpy_ma():
     # np.unique and its set routines import numpy.ma on first use, about
-    # 10 ms and 1 MB inside every run.
+    # 10 ms and 1 MB inside every run; the process pool imports
+    # multiprocessing, which only verify --n with --jobs > 1 uses.
     corpus = Path(__file__).resolve().parent / "golden" / "corpus.g6"
     code = (
         "import contextlib, io, sys\n"
@@ -487,12 +488,12 @@ def test_verify_and_analyze_do_not_import_numpy_ma():
         f"for argv in (['verify', '--n', '6'], ['verify', '--corpus', {str(corpus)!r}], ['analyze', {str(corpus)!r}]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        main(argv)\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print([m for m in ('numpy.ma', 'multiprocessing', 'concurrent.futures.process') if m in sys.modules])\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
 
 
 # ─── output failures: exit 2 and one error line, never a traceback ─────────

@@ -1,10 +1,12 @@
 """Paley graphs, the switching pipeline, and duplicated-vertex graphs."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import complete, cycle
 from huckel.bounds import upper_bound_order
 from huckel.constructions import (
     ConstructionError,
@@ -25,15 +27,15 @@ from huckel.srg import srg_params
 
 def test_paley_5_is_pentagon():
     g = paley_graph(5)
-    assert g == Graph.cycle(5)
+    assert g == cycle(5)
     assert write_graph6(g) == "Dhc"
 
 
 def test_paley_9():
-    g = paley_graph(9, adjacency="nonsquare")
+    g = _paley_from_field(make_field(3, 2), False)
     assert srg_params(g).as_tuple() == (9, 4, 1, 2)
     # Squares and nonsquares give complementary graphs of the same kind.
-    assert complement(g) == paley_graph(9, adjacency="square")
+    assert complement(g) == paley_graph(9)
     assert srg_params(paley_graph(9)).as_tuple() == (9, 4, 1, 2)
 
 
@@ -46,8 +48,6 @@ def test_paley_errors():
         paley_graph(7)
     with pytest.raises(ConstructionError, match="not a prime power"):
         paley_graph(33)
-    with pytest.raises(ValueError, match="adjacency"):
-        paley_graph(5, adjacency="both")
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -120,7 +120,7 @@ def test_remark_graph_spectrum(t):
 
 def test_remark_spectrum_wrong_order():
     with pytest.raises(ValueError, match="vertices"):
-        verify_remark_spectrum(Graph.complete(5), 1)
+        verify_remark_spectrum(complete(5), 1)
 
 
 def test_remark_known_he():
@@ -145,13 +145,8 @@ def _paley_by_loop(field, adjacency):
     """The scalar field.sub loop: the reference _paley_from_field must equal."""
     want = adjacency == "square"
     sq = [field.is_square(x) for x in range(field.order)]
-    rows = [0] * field.order
-    for i in range(field.order):
-        for j in range(i + 1, field.order):
-            if sq[field.sub(i, j)] == want:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph.from_rows(field.order, rows)
+    pairs = itertools.combinations(range(field.order), 2)
+    return Graph(field.order, [(i, j) for i, j in pairs if sq[field.sub(i, j)] == want])
 
 
 # 4, 8 (characteristic 2) and 27 (-1 a nonsquare) exercise the mirroring.
@@ -159,7 +154,7 @@ def _paley_by_loop(field, adjacency):
 @pytest.mark.parametrize("adjacency", ["square", "nonsquare"])
 def test_paley_from_field_equals_the_field_sub_loop(q, adjacency):
     field = make_field(*is_prime_power(q))
-    g = _paley_from_field(field, adjacency)
+    g = _paley_from_field(field, adjacency == "square")
     assert g == _paley_by_loop(field, adjacency)
     assert all(type(r) is int for r in g.rows)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import corpus_graphs, random_graph
+from conftest import complete, corpus_graphs, cycle, pair_bits, path, random_graph, star
 from huckel import cli
 from huckel.graphs import (
     Graph,
@@ -24,7 +24,6 @@ from huckel.graphs import (
     graph6_records,
     mask_graph6,
     pair_batch,
-    pair_bits,
     pair_order,
     parse_graph6,
     write_graph6,
@@ -70,7 +69,7 @@ def parse_by_bit_loop(text: str) -> Graph:
         raise Graph6Error(
             f"body for n={n} needs {need} bytes, got {len(body)} (body starts at position {body_start})"
         )
-    rows = [0] * n
+    edges = []
     k = 0
     j, i = 1, 0
     for bpos, ch in enumerate(body):
@@ -79,8 +78,7 @@ def parse_by_bit_loop(text: str) -> Graph:
             bit = (group >> sub) & 1
             if k < nbits:
                 if bit:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
+                    edges.append((i, j))
                 k += 1
                 i += 1
                 if i == j:
@@ -90,17 +88,12 @@ def parse_by_bit_loop(text: str) -> Graph:
                 raise Graph6Error(
                     f"nonzero padding bit in final group (byte position {body_start + bpos})"
                 )
-    return Graph.from_rows(n, rows)
+    return Graph(n, edges)
 
 
 def graph_from_mask(n, pairs, mask):
     """The witness encoder's old first step: a Graph per edge mask."""
-    rows = [0] * n
-    for k, (i, j) in enumerate(pairs):
-        if mask >> k & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph.from_rows(n, rows)
+    return Graph(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
 
 
 def old_stream_corpus(path, on_error="raise"):
@@ -154,7 +147,7 @@ def _seeded_graphs(seed, orders, per_order=3):
     rng = random.Random(seed)
     graphs = []
     for n in orders:
-        graphs += [Graph.empty(n), Graph.complete(n)]
+        graphs += [Graph(n), complete(n)]
         graphs += [random_graph(rng, n, rng.random()) for _ in range(per_order)]
     return graphs
 
@@ -169,6 +162,13 @@ def test_parse_graph6_equals_the_bit_loop():
         assert g == parse_by_bit_loop(record), record
         assert parse_graph6(">>graph6<<" + record + "\r\n") == g
         assert write_graph6(g) == record
+
+
+def test_golden_corpus_is_what_its_generator_writes():
+    # No golden test runs the generator, so this keeps its rewrite command working.
+    from test_golden import make_corpus
+
+    assert make_corpus() == GOLDEN_CORPUS.read_text(encoding="ascii")
 
 
 MALFORMED = [
@@ -371,16 +371,16 @@ def test_skip_bad_equals_the_old_sweep(capsys, monkeypatch, tmp_path):
 
 def test_headers_crlf_long_form_and_tiny_orders(capsys, monkeypatch, tmp_path):
     rng = random.Random(0x72)
-    graphs = [Graph.empty(63), random_graph(rng, 63, 0.5), Graph.complete(2), Graph.star(5), Graph.empty(0),
-              Graph.empty(1), Graph.path(4), Graph.empty(6), random_graph(rng, 7, 0.5)]
+    graphs = [Graph(63), random_graph(rng, 63, 0.5), complete(2), star(5), Graph(0),
+              Graph(1), path(4), Graph(6), random_graph(rng, 7, 0.5)]
     records = []
     for g in graphs:
         records += [write_graph6(g), ">>graph6<<" + write_graph6(g)]
-    path = tmp_path / "corpus.g6"
-    _write(path, records, end="\r\n")
-    code, out, err, dump = _both(capsys, monkeypatch, tmp_path, path)
+    corpus = tmp_path / "corpus.g6"
+    _write(corpus, records, end="\r\n")
+    code, out, err, dump = _both(capsys, monkeypatch, tmp_path, corpus)
     assert code == 0
-    reports = {rep.n: rep for rep in S.sweep(S.corpus_records(str(path)))}
+    reports = {rep.n: rep for rep in S.sweep(S.corpus_records(str(corpus)))}
     assert sorted(reports) == [0, 1, 2, 4, 5, 6, 7, 63]
     reported = [row.split(",")[0] for row in dump.decode().splitlines()[1:]]
     for rep in reports.values():
@@ -392,7 +392,7 @@ def test_headers_crlf_long_form_and_tiny_orders(capsys, monkeypatch, tmp_path):
 
 def test_corpus_records_yield_the_old_graphs(tmp_path):
     records = _seeded_corpus(0x73)[:300]
-    records[100:100] = list(MIDFILE.values()) + [">>graph6<<Bw", write_graph6(Graph.cycle(64))]
+    records[100:100] = list(MIDFILE.values()) + [">>graph6<<Bw", write_graph6(cycle(64))]
     path = tmp_path / "corpus.g6"
     _write(path, records)
     assert corpus_graphs(path, "skip") == list(old_stream_corpus(str(path), "skip"))

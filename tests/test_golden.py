@@ -141,7 +141,8 @@ def make_corpus(seed=CORPUS_SEED, count=CORPUS_SIZE):
                 rows[v] = 0
         else:
             rows = _random_rows(rng, n, rng.random())
-        records.append(write_graph6(Graph.from_rows(n, rows)))
+        edges = [(i, j) for j in range(n) for i in range(j) if rows[j] >> i & 1]
+        records.append(write_graph6(Graph(n, edges)))
     return "".join(r + "\n" for r in records)
 
 

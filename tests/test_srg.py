@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import complete, cycle, path, star
 from huckel.constructions import build_extremal_srg, build_switched_srg, paley_graph
 from huckel.graphs import Graph, complement, parse_graph6
 from huckel.bounds import upper_bound_order
@@ -21,15 +22,15 @@ def test_srg_params_detection():
     petersen = parse_graph6("IheA@GUAo")
     assert srg_params(petersen).as_tuple() == (10, 3, 0, 1)
     assert srg_params(complement(petersen)).as_tuple() == (10, 6, 3, 4)
-    assert srg_params(Graph.cycle(5)).as_tuple() == (5, 2, 0, 1)
+    assert srg_params(cycle(5)).as_tuple() == (5, 2, 0, 1)
 
 
 def test_srg_params_rejections():
-    assert srg_params(Graph.path(4)) is None  # not regular
-    assert srg_params(Graph.cycle(6)) is None  # common-neighbor counts vary
-    assert srg_params(Graph.complete(4)) is None  # excluded by convention
-    assert srg_params(Graph.empty(5)) is None
-    assert srg_params(Graph.complete(2)) is None  # n < 3
+    assert srg_params(path(4)) is None  # not regular
+    assert srg_params(cycle(6)) is None  # common-neighbor counts vary
+    assert srg_params(complete(4)) is None  # excluded by convention
+    assert srg_params(Graph(5)) is None
+    assert srg_params(complete(2)) is None  # n < 3
 
 
 def test_counting_identity():
@@ -69,7 +70,7 @@ def test_predicted_spectrum_conference():
 
 def test_predicted_spectrum_matches_actual():
     petersen = parse_graph6("IheA@GUAo")
-    actual = group_spectrum(eigenvalues(petersen).values, gap=1e-8)
+    actual = group_spectrum(eigenvalues(petersen).values)
     predicted = predicted_spectrum(srg_params(petersen))
     assert [m for _, m in actual] == [m for _, m in predicted]
     for (av, _), (pv, _) in zip(actual, predicted):
@@ -151,12 +152,12 @@ def test_srg_params_equals_the_common_neighbour_loop():
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     cube = Graph(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b])
     graphs = [build_extremal_srg(t) for t in (1, 2, 3)] + [build_switched_srg(t) for t in (1, 2, 3)]
-    graphs += [paley_graph(13), two_triangles, Graph.cycle(6), cube, Graph.path(5), Graph.star(4)]
-    graphs += [Graph.empty(n) for n in range(5)] + [Graph.complete(n) for n in range(5)]
+    graphs += [paley_graph(13), two_triangles, cycle(6), cube, path(5), star(4)]
+    graphs += [Graph(n) for n in range(5)] + [complete(n) for n in range(5)]
     for g in graphs:
         got = srg_params(g)
         assert got == _srg_by_loop(g), g
         if got is not None:
             assert all(type(x) is int for x in got.as_tuple())
     assert srg_params(two_triangles).as_tuple() == (6, 2, 1, 0)
-    assert srg_params(cube) is None and srg_params(Graph.cycle(6)) is None
+    assert srg_params(cube) is None and srg_params(cycle(6)) is None

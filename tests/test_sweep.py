@@ -1,5 +1,6 @@
 """Exhaustive verification sweeps over all labeled graphs of small orders."""
 
+import concurrent.futures
 import csv
 import importlib
 import itertools
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from huckel.bounds import lemma1_check, lower_bound, upper_bound, upper_bound_applies, upper_bound_order
-from conftest import corpus_graphs, graph_records
+from conftest import complete, corpus_graphs, cycle, graph_records, path, star
 from huckel.graphs import Graph, add_isolated_vertex, mask_graph6, pair_order, parse_graph6
 from huckel.spectra import DUST_TOL, TIGHT_TOL, energy
 from huckel.sweep import (
@@ -239,8 +240,8 @@ def test_dump_columns_match_the_per_row_writer(n, tol, tmp_path, monkeypatch):
 
 def test_corpus_dump_columns_match_the_per_row_writer(tmp_path, monkeypatch):
     # Orders 0 and 1 leave the bound columns blank.
-    graphs = [Graph.empty(0), Graph.empty(1), Graph.complete(2), Graph.empty(2), Graph.path(3),
-              Graph.star(5), Graph.cycle(5), add_isolated_vertex(Graph.complete(4)), Graph.complete(6)]
+    graphs = [Graph(0), Graph(1), complete(2), Graph(2), path(3),
+              star(5), cycle(5), add_isolated_vertex(complete(4)), complete(6)]
     new, old = _dumps(lambda path: sweep(graph_records(graphs), dump_path=path), tmp_path, monkeypatch)
     assert new.count(b"\n") == len(graphs) + 1
     assert new == old
@@ -251,7 +252,7 @@ def test_corpus_records(tmp_path):
     path.write_text("Bw\n\nC~\n  Dhc  \n")
     graphs = corpus_graphs(path)
     assert [g.n for g in graphs] == [3, 4, 5]
-    assert graphs[0] == Graph.complete(3)
+    assert graphs[0] == complete(3)
 
     bad = tmp_path / "bad.g6"
     bad.write_text("Bw\n:junk\nC~\n")
@@ -269,7 +270,7 @@ def test_sweep_stream_matches_exhaustive():
 
 
 def test_sweep_stream_groups_orders():
-    mixed = [Graph.complete(3), Graph.cycle(5), Graph.star(3), Graph.complete(4)]
+    mixed = [complete(3), cycle(5), star(3), complete(4)]
     reports = sweep(graph_records(mixed))
     assert [rep.n for rep in reports] == [3, 4, 5]
     assert [rep.graph_count for rep in reports] == [2, 1, 1]
@@ -305,7 +306,7 @@ def test_worker_processes_capped(monkeypatch):
             return map(fn, items)
 
     sweep_module = importlib.import_module("huckel.sweep")
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
     serial = sweep_labeled(6).to_dict()
     assert sweep_labeled(6, jobs=10 ** 6).to_dict() == serial  # 32 ranges, 4 CPUs
@@ -319,6 +320,18 @@ def test_readme_describes_the_check_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## What the checks assert", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^- `([a-z0-9_]+)`", section, flags=re.M) == list(ALL_CHECKS)
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(tour, ns)
+    # The values its comments state: C5 has E = 2 + 2 sqrt(5) and HE = 4 + 3(sqrt(5) - 1)/2.
+    assert (ns["ev"].energy, ns["ev"].huckel) == pytest.approx((2 + 2 * 5 ** 0.5, 4 + 1.5 * (5 ** 0.5 - 1)))
+    assert ns["classify_equality"](ns["rep"]) == {"lower_tight"}
+    assert ns["report"].total_violations == 0
+    assert ns["srg_params"](ns["g"]).as_tuple() == (26, 15, 8, 9)
 
 
 class _NoPool:
@@ -340,7 +353,7 @@ class _NoPool:
 def test_parallel_witness_lists_match_serial_at_order_7(monkeypatch):
     # Order 7 has 1,015 labeled intermediate witnesses, more than the cap, so
     # the capped list must be the smallest strings whatever the part order.
-    monkeypatch.setattr(importlib.import_module("huckel.sweep"), "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     serial = sweep_labeled(7)
     assert serial.checks["intermediate"].witness_count > 1000
     assert serial.checks["intermediate"].witnesses == sorted(serial.checks["intermediate"].witnesses)
@@ -455,7 +468,7 @@ def test_violation_threshold_inside_one_class():
 def test_parallel_violation_examples_match_serial(monkeypatch):
     # A negative tolerance makes thousands of violations, more than the cap,
     # spread over every part; the examples are still the first in mask order.
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     serial = sweep_labeled(6, tol=-0.5)
     assert serial.checks["upper_n"].violated > 20
     assert sweep_labeled(6, tol=-0.5, jobs=4).to_dict() == serial.to_dict()
@@ -560,7 +573,7 @@ def test_a_run_shares_its_solve_and_its_solver_failure(monkeypatch):
 
 
 def test_parallel_order_8_matches_serial(monkeypatch):
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     serial = sweep_labeled(8)
     assert serial.graph_count == 1 << 28
     assert serial.checks["lower"].holds == 252_522_481  # graphs without isolated vertices, OEIS A006129
