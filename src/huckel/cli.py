@@ -53,18 +53,44 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 
 
-def _round12(obj):
+def _float(text: str) -> str:
+    """json's spelling of float(text) for the %.12g text of a float.  The two
+    agree, digits included, except on integral values (1 for 1.0), inf and nan,
+    exponents 12..15 (json's are positional) and below -307 (subnormals)."""
+    if text[-1] in "fn":
+        return json.dumps(float(text))
+    if "e" not in text:
+        return text if "." in text else text + ".0"
+    exponent = int(text[text.index("e") + 1:])
+    return text if -308 < exponent < 12 or exponent > 15 else json.dumps(float(text))
+
+
+def _json(obj) -> str:
+    """obj as json.dumps(obj, sort_keys=True) writes it once each float is
+    rounded to 12 significant digits (tuples as lists, str keys only)."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return _float("%.12g" % obj)
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        key = json.encoder.encode_basestring_ascii  # which raises on a key that is not a str
+        return "{" + ", ".join([f"{key(k)}: {_json(obj[k])}" for k in sorted(obj)]) + "}"
     if isinstance(obj, (list, tuple)):
-        return [float(f"{v:.12g}") if isinstance(v, float) else _round12(v) for v in obj]
-    return obj
+        if not all(map(isinstance, obj, [float] * len(obj))):
+            return "[" + ", ".join(map(_json, obj)) + "]"
+        text = ", ".join(["%.12g"] * len(obj)) % tuple(obj)  # all floats at once
+        if text.count(".") < len(obj) or "e+1" in text or "e-3" in text:  # some text _float may respell
+            text = ", ".join([_float(t) for t in text.split(", ")])
+        return f"[{text}]"
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(obj, fh=None) -> None:
-    print(json.dumps(_round12(obj), sort_keys=True), file=fh or sys.stdout)
+    (fh or sys.stdout).write(_json(obj) + "\n")
 
 
 def _analyze_record(record: tuple, tol: float) -> dict:

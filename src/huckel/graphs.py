@@ -176,26 +176,29 @@ def graph6_records(fh: TextIO) -> Iterator[Tuple[int, str]]:
 
 @lru_cache(maxsize=None)
 def _lower(n: int) -> np.ndarray:
-    """The strict lower triangle of order n as an n x n bool mask, shared by every caller."""
-    return np.tri(n, k=-1, dtype=bool)
+    """Flat indices of the strict lower triangle of order n, row-major, shared by every caller."""
+    return np.flatnonzero(np.tri(n, k=-1, dtype=bool))
 
 
 def pair_batch(n: int, bits: np.ndarray, dtype=np.float64) -> np.ndarray:
     """The (B, n, n) adjacency batch of (B, C(n,2)) pair bits in graph6 order,
     which is the row-major order of the strict lower triangle."""
-    lower = _lower(n) if n <= _SHORT_MAX else np.tri(n, k=-1, dtype=bool)
+    lower = _lower(n) if n <= _SHORT_MAX else _lower.__wrapped__(n)  # long forms are not cached
     a = np.zeros((len(bits), n, n), dtype=np.uint8)  # scattered as bytes, then widened: faster
-    a[:, lower] = bits
+    a.reshape(len(bits), n * n)[:, lower] = bits
     return (a | a.transpose(0, 2, 1)).astype(dtype, copy=False)
 
 
-def _body_bits(n: int, body: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The (B, C(n,2)) uint8 pair bits of (B, k) graph6 bodies less 63, six
-    bits per byte, most significant first; and which rows have zero padding."""
-    nbits = n * (n - 1) // 2
-    clean = ((body[:, -1:] & ((1 << (6 * body.shape[1] - nbits)) - 1)) == 0).all(axis=1)
-    bits = np.unpackbits(body[:, :, None], axis=2)[:, :, 2:]
-    return bits.reshape(len(body), 6 * body.shape[1])[:, :nbits], clean
+def _padding(n: int, k: int) -> int:
+    """The mask of the padding bits in the last of k graph6 body bytes at order n."""
+    return (1 << (6 * k - n * (n - 1) // 2)) - 1
+
+
+def _body_bits(n: int, body: np.ndarray) -> np.ndarray:
+    """The (..., C(n,2)) uint8 pair bits of (..., k) graph6 bodies less 63,
+    six bits per byte, most significant first."""
+    bits = np.unpackbits(body[..., None], axis=-1)[..., 2:]
+    return bits.reshape(*body.shape[:-1], 6 * body.shape[-1])[..., :n * (n - 1) // 2]
 
 
 def decode_graph6_batch(records: Sequence[str]) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
@@ -214,10 +217,9 @@ def decode_graph6_batch(records: Sequence[str]) -> Tuple[np.ndarray, Dict[int, n
     for n in np.flatnonzero(np.bincount(order[order >= 0])).tolist():
         idx = np.nonzero(order == n)[0]
         body = data[starts[idx, None] + 1 + np.arange(need[idx[0]])] - np.uint8(63)
-        bits, clean = _body_bits(n, body)
-        good = clean & (body < 64).all(axis=1)
+        good = ((body[:, -1:] & _padding(n, body.shape[1])) == 0).all(axis=1) & (body < 64).all(axis=1)
         order[idx[~good]] = -1
-        groups[n] = bits[good]
+        groups[n] = _body_bits(n, body[good])
     return order, groups
 
 
@@ -254,12 +256,11 @@ def decode_graph6(text: str) -> Tuple[int, np.ndarray, str]:
     if len(body) != need:
         raise Graph6Error(f"body for n={n} needs {need} bytes, got {len(body)} "
                           f"(body starts at position {body_start})")
-    bits, clean = _body_bits(n, np.frombuffer(body.encode("latin-1"), np.uint8)[None] - np.uint8(63))
-    if not clean[0]:
+    if need and (ord(body[-1]) - 63) & _padding(n, need):
         raise Graph6Error(f"nonzero padding bit in final group (byte position {body_start + need - 1})")
     # With zero padding only a long size header of a short-form order is not canonical.
     canonical = chr(63 + n) + body if body_start == 4 and n <= _SHORT_MAX else record
-    return n, bits[0], canonical
+    return n, _body_bits(n, np.frombuffer(body.encode("latin-1"), np.uint8) - np.uint8(63)), canonical
 
 
 def parse_graph6(text: str) -> Graph:

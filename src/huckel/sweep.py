@@ -51,6 +51,7 @@ _VIOLATION_CAP = 20
 _BATCH = 1 << 16
 _CHUNK = 1 << 14  # corpus records decoded together
 _FLUSH = 4096  # corpus records of one order swept together
+_FLUSH_CELLS = 1 << 23  # and their pair bits at most: 8 MB, over 4,096 rows of C(62, 2) = 1,891
 _SOLVE_CELLS = 1 << 18  # adjacency entries per corpus eigensolve: 2 MB of float64
 
 # A corpus segment: (order n, (k, C(n,2)) uint8 pair bits, k graph6 strings, k stream positions).
@@ -649,8 +650,9 @@ def sweep(
 ) -> List[SweepReport]:
     """Sweep the sections of corpus_records, one report per order, sorted by
     order.  Each order's rows are buffered as segments in stream order and
-    swept at the record that brings the buffer to _FLUSH rows; the buffers
-    left at the end are swept in the order they were opened or reopened.
+    swept at the record that brings the buffer to _FLUSH rows or, first at
+    long-form orders, to _FLUSH_CELLS pair bits; the buffers left at the end
+    are swept in the order they were opened or reopened.
     So the --dump rows, violation examples and rows written before a
     mid-file error are those of a record-at-a-time reader.  A buffer is
     eigensolved in sub-batches of at most _SOLVE_CELLS adjacency entries."""
@@ -674,13 +676,13 @@ def sweep(
         for section in records:
             due = []  # (position, order, segments) of the buffers this section fills
             for n, bits, g6, at in section:
-                lo = 0
+                lo, rows = 0, min(_FLUSH, max(1, _FLUSH_CELLS // max(1, bits.shape[1])))
                 while lo < len(g6):
                     buf = buffers.setdefault(n, [int(at[lo]), 0, []])
-                    hi = min(len(g6), lo + _FLUSH - buf[1])
+                    hi = min(len(g6), lo + rows - buf[1])
                     buf[1] += hi - lo
                     buf[2].append((bits[lo:hi], g6[lo:hi]))
-                    if buf[1] == _FLUSH:
+                    if buf[1] == rows:
                         due.append((int(at[hi - 1]), n, buffers.pop(n)[2]))
                     lo = hi
             for _, n, segments in sorted(due, key=lambda d: d[0]):

@@ -21,12 +21,13 @@ from huckel.bounds import (
     lemma1_theorem_domain,
     lower_bound,
     scan_order_bound,
+    tight,
     upper_bound,
     upper_bound_applies,
     upper_bound_order,
     violated,
 )
-from huckel.spectra import eigenvalues, energy_values
+from huckel.spectra import TIGHT_TOL, VIOLATION_TOL, eigenvalues, energy_values
 
 SEEDS = [0xB01, 0xB02, 0xB03]
 
@@ -199,6 +200,17 @@ def test_violated_is_the_shared_verdict():
     assert list(violated(np.array([-1.0, 0.0]), np.array([2.0, 2.0]))) == [True, False]
 
 
+def test_scalar_verdicts_equal_the_array_form():
+    rng = np.random.default_rng(0x5CA1)
+    slack = np.concatenate([rng.normal(0, 1e-6, 200), rng.normal(0, 10, 50), [0.0, -0.0, -1e-8]])
+    bound = np.concatenate([rng.normal(0, 100, 200), rng.uniform(-2, 2, 50), [0.0, -5.0, -1.0]])
+    for tol in (VIOLATION_TOL, TIGHT_TOL, 0.5):
+        pairs = list(zip(slack.tolist(), bound.tolist()))
+        assert violated(slack, bound, tol).tolist() == [violated(x, b, tol) for x, b in pairs]
+        assert tight(slack, bound, tol).tolist() == [tight(x, b, tol) for x, b in pairs]
+    assert not violated(-0.5e-6, -100.0) and violated(-2e-6, -100.0)  # scaled by |bound|
+
+
 def test_lemma1_domains():
     m = np.arange(0, 11)
     connected = np.ones(11, dtype=bool)
@@ -206,6 +218,9 @@ def test_lemma1_domains():
     stated = lemma1_stated_domain(5, m)
     theorem = lemma1_theorem_domain(5, m, lambda: connected)
     assert list(np.nonzero(stated)[0]) == list(range(4, 11))
+    # n - 1 >= 2: the single edge is outside, as one size and in an array.
+    assert not lemma1_stated_domain(2, 1) and not lemma1_stated_domain(2, np.array([1])).any()
+    assert lemma1_stated_domain(3, 2) and not lemma1_stated_domain(3, 1)
     assert list(np.nonzero(theorem)[0]) == list(range(5, 11))  # m = 4 here is disconnected
     connected[4] = True
     assert list(np.nonzero(lemma1_theorem_domain(5, m, lambda: connected))[0]) == list(range(4, 11))

@@ -421,3 +421,32 @@ def test_corpus_sweep_memory_is_bits_strings_and_one_sub_batch(tmp_path):
     assert [rep.graph_count for rep in reports] == [12000]
     assert peak < 2 * (held + 8 * S._SOLVE_CELLS)  # 9.0 of 10.7 MB here; the per-record buffers took 24 MB
 
+
+
+def test_long_form_buffers_flush_at_the_cell_budget(monkeypatch, tmp_path):
+    # Order-100 records (C(100, 2) = 4,950 pair bits each) mixed with short
+    # ones: with a budget of 3 rows of pair bits the reports equal the
+    # unbudgeted sweep's, and the traced peak stays flat as the record count
+    # quadruples, while without the budget it grows with the buffered rows.
+    rng = random.Random(0x600)
+    records = [mask_graph6(100, rng.getrandbits(4950)) if k % 4 else mask_graph6(9, rng.getrandbits(36))
+               for k in range(64)]
+    monkeypatch.setattr(S, "_CHUNK", 4)  # the decode chunk holds 4 record strings whatever the file's length
+
+    def run(count, cells):
+        monkeypatch.setattr(S, "_FLUSH_CELLS", cells)
+        path = tmp_path / f"corpus{count}.g6"
+        _write(path, records[:count])
+        tracemalloc.start()
+        try:
+            reports = [rep.to_dict() for rep in S.sweep(S.corpus_records(str(path)))]
+            return reports, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    unbudgeted, grown = run(64, 1 << 23)
+    budgeted, peak = run(64, 3 * 4950)
+    assert budgeted == unbudgeted and [rep["graph_count"] for rep in budgeted] == [16, 48]
+    assert run(16, 3 * 4950)[0] == run(16, 1 << 23)[0]
+    assert peak < 1.25 * run(16, 3 * 4950)[1]
+    assert grown > 2 * peak  # the unbudgeted buffer holds all 48 order-100 rows
