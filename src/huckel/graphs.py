@@ -139,14 +139,18 @@ def pair_order(n: int) -> List[Tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+def _size_header(n: int) -> str:
+    """The graph6 size header of order n: one byte, or four in long form."""
+    if n <= _SHORT_MAX:
+        return chr(63 + n)
+    if n <= _LONG_MAX:
+        return "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    raise Graph6Error(f"n={n} exceeds the supported graph6 range (max {_LONG_MAX})")
+
+
 def mask_graph6(n: int, mask: int) -> str:
     """The graph6 record of the graph on n vertices with pair k an edge iff bit k of mask is set."""
-    if n <= _SHORT_MAX:
-        head = chr(63 + n)
-    elif n <= _LONG_MAX:
-        head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    else:
-        raise Graph6Error(f"n={n} exceeds the supported graph6 range (max {_LONG_MAX})")
+    head = _size_header(n)
     width = -(-(n * (n - 1) // 2) // 6) * 6
     bits = format(mask, f"0{width}b")[::-1]
     return head + "".join([_G6_CHAR[bits[k:k + 6]] for k in range(0, width, 6)])
@@ -205,21 +209,22 @@ def decode_graph6_batch(records: Sequence[str]) -> Tuple[np.ndarray, Dict[int, n
     """Decode non-empty records of a latin-1 stream in bulk: each record's
     order, or -1 unless it is short-form with the length its order needs,
     every byte in 63..126 and zero padding (decode_graph6 decides the rest);
-    and per order the pair bits of its decoded records, in record order.  A
-    decoded record is its write_graph6 string."""
+    and per order the (k, ceil(C(n,2)/6)) uint8 graph6 bodies less 63 of its
+    decoded records, in record order, for _body_bits to unpack.  A decoded
+    record is its write_graph6 string."""
     lens = np.fromiter(map(len, records), np.int64, len(records))
-    data = np.frombuffer("".join(records).encode("latin-1"), np.uint8)
-    starts = np.cumsum(lens) - lens
-    order = data[starts].astype(np.int64) - 63
+    order = np.frombuffer("".join([r[0] for r in records]).encode("latin-1"), np.uint8).astype(np.int64) - 63
     need = (order * (order - 1) // 2 + 5) // 6
     order[(order < 0) | (order > _SHORT_MAX) | (lens != 1 + need)] = -1
     groups = {}
     for n in np.flatnonzero(np.bincount(order[order >= 0])).tolist():
-        idx = np.nonzero(order == n)[0]
-        body = data[starts[idx, None] + 1 + np.arange(need[idx[0]])] - np.uint8(63)
-        good = ((body[:, -1:] & _padding(n, body.shape[1])) == 0).all(axis=1) & (body < 64).all(axis=1)
+        # Past the length check the records of one order have one length: joined, they are a (k, 1 + need) table.
+        idx = np.flatnonzero(order == n)
+        text = "".join([records[i] for i in idx.tolist()]).encode("latin-1")
+        body = np.frombuffer(text, np.uint8).reshape(len(idx), -1)[:, 1:] - np.uint8(63)
+        good = ((body[:, -1:] & _padding(n, body.shape[1])) == 0).all(axis=1) & (body.max(axis=1, initial=0) < 64)
         order[idx[~good]] = -1
-        groups[n] = _body_bits(n, body[good])
+        groups[n] = body if good.all() else body[good]
     return order, groups
 
 

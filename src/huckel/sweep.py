@@ -20,12 +20,13 @@ import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import (
     _bound_fields,
+    _scale,
     intermediate_bounds,
     intermediate_steep,
     lemma1_terms,
@@ -38,8 +39,8 @@ from .bounds import (
 )
 # parse_graph6 and write_graph6 are not called here: they stay bound for
 # perfbench's tracer, which wraps them here.
-from .graphs import (Graph6Error, decode_graph6, decode_graph6_batch, graph6_records, mask_graph6, pair_batch,
-                     pair_order, parse_graph6, write_graph6)
+from .graphs import (Graph6Error, _body_bits, _size_header, decode_graph6, decode_graph6_batch, graph6_records,
+                     mask_graph6, pair_batch, pair_order, parse_graph6, write_graph6)
 from .spectra import DUST_TOL, TIGHT_TOL, VIOLATION_TOL, energy, half_spectrum, invariants_hold
 
 ENUM_MAX_N = 8
@@ -49,13 +50,15 @@ _HIST_BINS = 512  # slack histogram covers [0, 0.512); larger slacks overflow
 _WITNESS_CAP = 1000
 _VIOLATION_CAP = 20
 _BATCH = 1 << 16
-_CHUNK = 1 << 14  # corpus records decoded together
+_CHUNK = 1 << 12  # corpus records decoded together
+_CHUNK_BYTES = 1 << 20  # and their characters at most, but one record at least
 _FLUSH = 4096  # corpus records of one order swept together
-_FLUSH_CELLS = 1 << 23  # and their pair bits at most: 8 MB, over 4,096 rows of C(62, 2) = 1,891
+_FLUSH_CELLS = 1 << 23  # and their pair bits at most, over 4,096 rows of C(62, 2) = 1,891
+_HOLD_BYTES = 1 << 24  # corpus body bytes buffered over all orders; past it the oldest buffer is swept
 _SOLVE_CELLS = 1 << 18  # adjacency entries per corpus eigensolve: 2 MB of float64
 
-# A corpus segment: (order n, (k, C(n,2)) uint8 pair bits, k graph6 strings, k stream positions).
-Segment = Tuple[int, np.ndarray, List[str], np.ndarray]
+# A corpus segment: (order n, (k, ceil(C(n,2)/6)) uint8 graph6 bodies less 63, k stream positions).
+Segment = Tuple[int, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -145,44 +148,74 @@ def _validate_checks(checks: Sequence[str]) -> Tuple[str, ...]:
 # ─── enumeration and corpora ────────────────────────────────────────────────
 
 
+def _chunk(stream: Iterator[Tuple[int, str]]) -> List[Tuple[int, str]]:
+    """The next _CHUNK items of stream, or fewer once their records reach
+    _CHUNK_BYTES characters; one at least unless stream is done."""
+    chunk, size = [], 0
+    for item in stream:
+        chunk.append(item)
+        size += len(item[1])
+        if len(chunk) == _CHUNK or size >= _CHUNK_BYTES:
+            break
+    return chunk
+
+
 def corpus_records(path: str, on_error: str = "raise") -> Iterator[List[Segment]]:
     """The records of a graph6 file, one per non-blank line, as sections of
-    segments (n, pair bits, graph6 strings, positions): the records of order
-    n in the section, in file order, with their indices among the file's
-    records.  decode_graph6_batch decodes _CHUNK records at a time, and the
+    segments (n, bodies, positions): the graph6 bodies less 63 of the records
+    of order n in the section, in file order, with their indices among the
+    file's records.  decode_graph6_batch decodes a _chunk at a time, and the
     segments slice its per-order blocks.  A record it leaves goes through
     decode_graph6 and is a section of its own, between the rows before and
-    after it; a malformed one raises (with the line number) or is skipped,
-    per on_error in {"raise", "skip"}, after the rows before it."""
+    after it, with the body of its canonical string; a malformed one raises
+    (with the line number) or is skipped, per on_error in {"raise", "skip"},
+    after the rows before it."""
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
     with open(path, "r", encoding="latin-1") as fh:
         stream, base = graph6_records(fh), 0
-        while chunk := list(itertools.islice(stream, _CHUNK)):
-            records = [record for _, record in chunk]
-            order, groups = decode_graph6_batch(records)
-            rows = {n: np.flatnonzero(order == n) for n in groups}
+        # Each chunk is decoded in a frame of its own, gone before the next chunk is read.
+        while size := (yield from _sections(path, _chunk(stream), base, on_error)):
+            base += size
 
-            def section(lo: int, hi: int) -> List[Segment]:
-                """The segments of the bulk rows at chunk positions lo..hi-1."""
-                cuts = {n: np.searchsorted(at, (lo, hi)).tolist() for n, at in rows.items()}
-                return [(n, groups[n][k0:k1], [records[i] for i in rows[n][k0:k1].tolist()], base + rows[n][k0:k1])
-                        for n, (k0, k1) in cuts.items() if k1 > k0]
 
-            lo = 0
-            for i in np.flatnonzero(order < 0).tolist():
-                if i > lo:
-                    yield section(lo, i)
-                lo = i + 1
-                try:
-                    n, bits, g6 = decode_graph6(records[i])
-                except Graph6Error as exc:
-                    if on_error == "raise":
-                        raise Graph6Error(f"{path}:{chunk[i][0]}: {exc}") from exc
-                    continue
-                yield [(n, bits[None], [g6], np.array([base + i]))]
-            yield section(lo, len(records))
-            base += len(records)
+def _sections(path: str, chunk: List[Tuple[int, str]], base: int,
+              on_error: str) -> Generator[List[Segment], None, int]:
+    """corpus_records' sections of one chunk of (line number, record) items,
+    the first at stream position base; returns the chunk's length."""
+    if not chunk:
+        return 0
+    order, groups = decode_graph6_batch([record for _, record in chunk])
+    rows = {n: np.flatnonzero(order == n) for n in groups}
+
+    def section(lo: int, hi: int) -> List[Segment]:
+        """The segments of the bulk rows at chunk positions lo..hi-1."""
+        cuts = {n: np.searchsorted(at, (lo, hi)).tolist() for n, at in rows.items()}
+        return [(n, groups[n][k0:k1], base + rows[n][k0:k1]) for n, (k0, k1) in cuts.items() if k1 > k0]
+
+    lo = 0
+    for i in np.flatnonzero(order < 0).tolist():
+        ln, record = chunk[i]
+        if i > lo:
+            yield section(lo, i)
+        lo = i + 1
+        try:
+            n, _, g6 = decode_graph6(record)
+        except Graph6Error as exc:
+            if on_error == "raise":
+                raise Graph6Error(f"{path}:{ln}: {exc}") from exc
+            continue
+        body = np.frombuffer(g6[len(_size_header(n)):].encode("ascii"), np.uint8) - np.uint8(63)
+        yield [(n, body[None], np.array([base + i]))]
+    yield section(lo, len(order))
+    return len(order)
+
+
+def _body_graph6(n: int, bodies: np.ndarray) -> Callable[[int], str]:
+    """The graph6 string of row i of (k, w) bodies less 63, built when asked for."""
+    head, w = _size_header(n), bodies.shape[1]
+    text = (bodies + np.uint8(63)).tobytes().decode("ascii")
+    return lambda i: head + text[i * w:(i + 1) * w]
 
 
 # ─── the check table ────────────────────────────────────────────────────────
@@ -448,7 +481,7 @@ def _near_decision(check: Check, b: _Batch, applicable, slack, bound, tol: float
     DUST_TOL, so the graph stands for every copy.  The check's smallest slack
     is the one more such point; it needs every row of the sweep, so
     _process_classes applies it."""
-    near = np.abs(slack + tol * np.maximum(1.0, np.abs(bound))) <= DUST_TOL
+    near = np.abs(slack + tol * _scale(bound)) <= DUST_TOL
     near |= np.abs(slack) <= TIGHT_TOL + DUST_TOL
     edge = np.rint(slack / HIST_RESOLUTION)
     near |= (edge >= 1) & (edge <= _HIST_BINS) & (np.abs(slack - edge * HIST_RESOLUTION) <= DUST_TOL)
@@ -654,39 +687,51 @@ def sweep(
     long-form orders, to _FLUSH_CELLS pair bits; the buffers left at the end
     are swept in the order they were opened or reopened.
     So the --dump rows, violation examples and rows written before a
-    mid-file error are those of a record-at-a-time reader.  A buffer is
-    eigensolved in sub-batches of at most _SOLVE_CELLS adjacency entries."""
+    mid-file error are those of a record-at-a-time reader.  Once a section
+    leaves more than _HOLD_BYTES body bytes buffered over all orders, the
+    buffers opened first are swept until they fit.  A buffer is eigensolved
+    in sub-batches of at most _SOLVE_CELLS adjacency entries, each unpacked
+    from its bodies just before; a row's graph6 string is built only when
+    it is reported."""
     checks = _validate_checks(checks)
     reports: Dict[int, SweepReport] = {}
-    buffers: Dict[int, list] = {}  # order -> [position it opened at, rows, [(bits, g6), ...]]
+    buffers: Dict[int, list] = {}  # order -> [position it opened at, rows, [bodies, ...]]
+    held = 0  # body bytes buffered over all orders
 
-    def flush(n: int, segments) -> None:
+    def flush(n: int, segments) -> int:
+        """Sweep one buffer's segments; the body bytes they held."""
         if n not in reports:
             reports[n] = SweepReport.for_checks(n, checks)
-        bits = np.concatenate([b for b, _ in segments])
-        g6 = [s for _, strings in segments for s in strings]
+        bodies = np.concatenate(segments)
         step = max(1, _SOLVE_CELLS // max(1, n * n))
-        for lo in range(0, len(g6), step):
-            sub = bits[lo:lo + step]
+        for lo in range(0, len(bodies), step):
+            sub = bodies[lo:lo + step]
             # Built inside the call, so no name keeps a sub-batch alive while the next is built.
-            _add_batch(reports[n], _Batch(n, pair_batch(n, sub), sub.sum(axis=1, dtype=np.int64), checks, tol),
-                       g6[lo:lo + step].__getitem__, dump)
+            # A body's set bits are its pair bits, as its padding is zero.
+            _add_batch(reports[n], _Batch(n, pair_batch(n, _body_bits(n, sub)),
+                                          np.bitwise_count(sub).sum(axis=1, dtype=np.int64), checks, tol),
+                       _body_graph6(n, sub), dump)
+        return bodies.nbytes
 
     with _dump_writer(dump_path) as dump:
         for section in records:
             due = []  # (position, order, segments) of the buffers this section fills
-            for n, bits, g6, at in section:
-                lo, rows = 0, min(_FLUSH, max(1, _FLUSH_CELLS // max(1, bits.shape[1])))
-                while lo < len(g6):
+            for n, bodies, at in section:
+                lo, rows = 0, min(_FLUSH, max(1, _FLUSH_CELLS // max(1, n * (n - 1) // 2)))
+                while lo < len(at):
                     buf = buffers.setdefault(n, [int(at[lo]), 0, []])
-                    hi = min(len(g6), lo + rows - buf[1])
+                    hi = min(len(at), lo + rows - buf[1])
                     buf[1] += hi - lo
-                    buf[2].append((bits[lo:hi], g6[lo:hi]))
+                    buf[2].append(bodies[lo:hi])
+                    held += buf[2][-1].nbytes
                     if buf[1] == rows:
                         due.append((int(at[hi - 1]), n, buffers.pop(n)[2]))
                     lo = hi
             for _, n, segments in sorted(due, key=lambda d: d[0]):
-                flush(n, segments)
+                held -= flush(n, segments)
+            while held > _HOLD_BYTES:
+                n = min(buffers, key=lambda k: buffers[k][0])
+                held -= flush(n, buffers.pop(n)[2])
         for n, buf in sorted(buffers.items(), key=lambda item: item[1][0]):
             flush(n, buf[2])
     return [reports[n].finalize() for n in sorted(reports)]

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from huckel.graphs import Graph, parse_graph6, write_graph6
+from huckel.graphs import Graph, _body_bits, parse_graph6, write_graph6
 
 S = importlib.import_module("huckel.sweep")  # the package's sweep() shadows the module
 
@@ -39,7 +39,12 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 
 def graph_records(graphs):
     """corpus_records sections for a list of graphs, one record each."""
-    return [[(g.n, pair_bits(g)[None], [write_graph6(g)], np.array([i]))] for i, g in enumerate(graphs)]
+    return [[(g.n, graph6_body(g)[None], np.array([i]))] for i, g in enumerate(graphs)]
+
+
+def graph6_body(g: Graph) -> np.ndarray:
+    """The graph6 body of g less 63, as a corpus segment holds it."""
+    return np.frombuffer(write_graph6(g)[1 if g.n <= 62 else 4:].encode("ascii"), np.uint8) - np.uint8(63)
 
 
 def corpus_graphs(path, on_error="raise"):
@@ -47,10 +52,11 @@ def corpus_graphs(path, on_error="raise"):
     checked against its segment's order and pair bits."""
     rows = []
     for section in S.corpus_records(str(path), on_error):
-        for n, bits, strings, at in section:
-            assert len(bits) == len(strings) == len(at)
-            for row, g6, pos in zip(bits, strings, at.tolist()):
-                g = parse_graph6(g6)
+        for n, bodies, at in section:
+            assert len(bodies) == len(at)
+            g6_of = S._body_graph6(n, bodies)
+            for k, (row, pos) in enumerate(zip(_body_bits(n, bodies), at.tolist())):
+                g = parse_graph6(g6_of(k))
                 assert g.n == n and np.array_equal(pair_bits(g), row)
                 rows.append((pos, g))
     assert len({pos for pos, _ in rows}) == len(rows)

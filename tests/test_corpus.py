@@ -20,6 +20,7 @@ from huckel import cli
 from huckel.graphs import (
     Graph,
     Graph6Error,
+    _body_bits,
     decode_graph6_batch,
     graph6_records,
     mask_graph6,
@@ -200,8 +201,8 @@ def test_decode_graph6_batch_takes_exactly_the_canonical_short_records():
         if canonical:
             g = parse_graph6(record)
             assert n == g.n
-            assert np.array_equal(pair_batch(n, groups[n][k:k + 1]), dense_batch([g], n))
-    assert sum(len(bits) for bits in groups.values()) == (order >= 0).sum()
+            assert np.array_equal(pair_batch(n, _body_bits(n, groups[n][k:k + 1])), dense_batch([g], n))
+    assert sum(len(bodies) for bodies in groups.values()) == (order >= 0).sum()
 
 
 def test_pair_batch_is_the_dense_batch():
@@ -450,3 +451,77 @@ def test_long_form_buffers_flush_at_the_cell_budget(monkeypatch, tmp_path):
     assert run(16, 3 * 4950)[0] == run(16, 1 << 23)[0]
     assert peak < 1.25 * run(16, 3 * 4950)[1]
     assert grown > 2 * peak  # the unbudgeted buffer holds all 48 order-100 rows
+
+
+def test_order_62_corpus_holds_its_bodies_and_one_sub_batch(tmp_path):
+    # 3,000 order-62 records (317 bytes each) fit in one decode chunk and
+    # stay buffered to the end.  Held: their 316-byte bodies (0.9 MB), not
+    # 1,891 pair bits and a string each; swept: one 2 MB float64 sub-batch
+    # with its uint8 scatter.  4.6 MB of the 6.1 MB bound here; holding pair
+    # bits and strings, and unpacking a chunk in one go, took 16.8 MB.
+    rng = random.Random(0x78)
+    records = [mask_graph6(62, rng.getrandbits(1891)) for _ in range(3000)]
+    assert len(records) < S._CHUNK and sum(map(len, records)) < S._CHUNK_BYTES
+    path = tmp_path / "corpus.g6"
+    _write(path, records)
+    held = len(records) * 316
+    tracemalloc.start()
+    try:
+        reports = S.sweep(S.corpus_records(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [rep.graph_count for rep in reports] == [3000]
+    assert peak < 2 * (held + 8 * S._SOLVE_CELLS)
+
+
+def test_long_form_decode_chunks_stop_at_the_byte_cap(tmp_path):
+    # Order-200 long-form records, 3,321 bytes each: with _CHUNK at its
+    # default, a chunk ends at _CHUNK_BYTES (316 records), so reading 1,600
+    # records peaks where reading 400 does (1.1 MB here).  A chunk of
+    # 16,384 records and no byte cap held every record: 3.8 and 15.4 MB.
+    record = mask_graph6(200, random.Random(0x79).getrandbits(19900))
+
+    def peak(count):
+        path = tmp_path / f"corpus{count}.g6"
+        _write(path, [record] * count)
+        tracemalloc.start()
+        try:
+            assert sum(len(at) for section in S.corpus_records(str(path)) for _, _, at in section) == count
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert 400 * len(record) > S._CHUNK_BYTES and 1600 < S._CHUNK
+    assert peak(1600) < 1.1 * peak(400)
+
+
+def test_buffers_over_all_orders_flush_at_the_hold_cap(monkeypatch, tmp_path):
+    # 12 long-form records for each of 8 or 32 orders up to 94, interleaved,
+    # so no order fills its buffer and, uncapped, every record is buffered
+    # to the end.  With a hold cap of 4,096 body bytes the oldest buffers
+    # are swept early: the reports equal the uncapped sweep's, and the
+    # traced peak stays flat as the number of orders quadruples.
+    rng = random.Random(0x7A)
+    orders = range(63, 95)
+    records = [[mask_graph6(n, rng.getrandbits(n * (n - 1) // 2)) for n in orders] for _ in range(12)]
+    monkeypatch.setattr(S, "_CHUNK", 4)
+
+    def run(step, cap, checks=S.ALL_CHECKS):
+        monkeypatch.setattr(S, "_HOLD_BYTES", cap)
+        path = tmp_path / f"corpus{step}.g6"
+        _write(path, [r for row in records for r in row[::step]])
+        tracemalloc.start()
+        try:
+            reports = [rep.to_dict() for rep in S.sweep(S.corpus_records(str(path)), checks)]
+            return reports, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    capped = run(4, 4096)[0]
+    assert capped == run(4, 1 << 24)[0] and [rep["graph_count"] for rep in capped] == [12] * 8
+    monkeypatch.setattr(S, "_SOLVE_CELLS", 1)  # one-row eigensolves: the buffers, not a sub-batch, set the peak
+    few, many = (run(step, 4096, ("upper_n",))[1] for step in (4, 1))
+    grown = run(1, 1 << 24, ("upper_n",))[1]
+    assert many < 1.25 * few
+    assert grown > 1.5 * many  # uncapped, all 384 records are held
