@@ -276,8 +276,11 @@ def _after_first_flush(records):
     return [i for i, r in enumerate(records) if r[0] == "E"][4095] + 1
 
 
-@pytest.mark.parametrize("chunk,cells", [(S._CHUNK, S._SOLVE_CELLS), (7, S._SOLVE_CELLS), (S._CHUNK, 1)],
-                         ids=[str(S._CHUNK), "7", "one_row_batches"])
+# 16,384 records decode the whole seeded corpus as one chunk; _CHUNK at
+# its default ends a chunk inside it.
+@pytest.mark.parametrize("chunk,cells", [(S._CHUNK, S._SOLVE_CELLS), (16384, S._SOLVE_CELLS), (7, S._SOLVE_CELLS),
+                                         (S._CHUNK, 1)],
+                         ids=[str(S._CHUNK), "16384", "7", "one_row_batches"])
 def test_corpus_sweep_equals_the_old_sweep(chunk, cells, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(S, "_CHUNK", chunk)
     monkeypatch.setattr(S, "_SOLVE_CELLS", cells)
@@ -316,7 +319,7 @@ def test_midfile_error_equals_the_old_sweep(kind, capsys, monkeypatch, tmp_path)
     assert dump.count(b"\n") == 1 + 4096  # the header and the batch flushed before the error
 
 
-@pytest.mark.parametrize("chunk", [S._CHUNK, 7])
+@pytest.mark.parametrize("chunk", [S._CHUNK, 16384, 7])
 @pytest.mark.parametrize("offset,flushed", [(-1, 0), (0, 4096)])
 def test_error_beside_a_flush_equals_the_old_sweep(offset, flushed, chunk, capsys, monkeypatch, tmp_path):
     # The bad line comes just before or just after the record that fills
