@@ -38,7 +38,7 @@ from .constructions import (
 # parse_graph6 is not called here: it stays bound for perfbench's tracer, which wraps it here.
 from .graphs import (_ORDER_MAX, Graph6Error, decode_graph6, graph6_records, pair_batch, parse_graph6,  # noqa: F401
                      write_graph6)
-from .spectra import TIGHT_TOL, VIOLATION_TOL, eigenvalues, energy_values, group_spectrum
+from .spectra import TIGHT_TOL, VIOLATION_TOL, eigenvalues, energy_values, group_spectrum, match_spectrum
 from .srg import (
     extremal_family_params,
     predicted_extremal_he,
@@ -160,15 +160,13 @@ def _cmd_analyze(args) -> int:
 
 def _spectrum_match(spec, params) -> dict:
     predicted = predicted_spectrum(params)
-    flat = [v for v, mult in predicted for _ in range(mult)]
-    flat.sort(reverse=True)
-    devs = [abs(float(c) - e) for c, e in zip(spec.values, flat)]
-    max_dev = max(devs) if devs else 0.0
+    flat = sorted((v for v, mult in predicted for _ in range(mult)), reverse=True)
+    _, max_dev, matches = match_spectrum(spec.values, flat)
     return {
         "spectrum_predicted": [[v, mult] for v, mult in predicted],
         "spectrum_grouped": [[v, mult] for v, mult in group_spectrum(spec.values)],
         "max_spectrum_deviation": max_dev,
-        "spectrum_matches": max_dev <= TIGHT_TOL,
+        "spectrum_matches": matches,
     }
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .graphs import _ORDER_MAX, Graph, add_duplicate_vertex, add_isolated_vertex, complement, seidel_switch
 from .gf import FiniteField, is_prime_power, make_field, subfield_coset_partition
-from .spectra import SOLVER_TOL, TIGHT_TOL, Spectrum, eigenvalues
+from .spectra import SOLVER_TOL, Spectrum, eigenvalues, match_spectrum
 from .srg import extremal_family_params, srg_params, switched_family_params
 
 
@@ -169,10 +169,9 @@ def verify_remark_spectrum(h: Graph, t: int, spectrum: Optional[Spectrum] = None
     template += [float(-t - 1)] * (2 * t * t + 2 * t)
     template.sort(reverse=True)
     spec = spectrum if spectrum is not None else eigenvalues(h)
-    deviations = tuple(float(c) - e for c, e in zip(spec.values, template))
-    max_dev = max(abs(d) for d in deviations)
+    deviations, max_dev, matches = match_spectrum(spec.values, template)
     return RemarkSpectrumReport(
-        matches=max_dev <= TIGHT_TOL,
+        matches=matches,
         max_deviation=max_dev,
         expected=tuple(template),
         computed=tuple(float(x) for x in spec.values),

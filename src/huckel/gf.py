@@ -4,8 +4,9 @@ Elements are the integers 0..q-1, read as base-p digit vectors
 (coefficient-lexicographic enumeration: index sum(c_i p^i) has coefficient
 vector (c_0, ..., c_{e-1})).  The modulus is the first monic irreducible of
 degree e in that same enumeration of coefficient vectors, so two builds of
-the same field agree element for element.  Multiplication runs through dense
-exponent/log tables built from the first primitive element.
+the same field agree element for element: the smallest code that no product
+of two monic factors reaches.  Multiplication runs through dense exponent/log
+tables: the orbit of 1 under c -> g*c for the first primitive element g.
 """
 
 from __future__ import annotations
@@ -43,20 +44,40 @@ def _prime_factors(n: int) -> List[int]:
     return out
 
 
-def _poly_divmod(num: List[int], den: List[int], p: int) -> Tuple[List[int], List[int]]:
-    """Divide polynomials over GF(p); coefficients ascending, den monic."""
-    num = num[:]
-    dd = len(den) - 1
-    quot = [0] * max(1, len(num) - dd)
-    while len(num) - 1 >= dd and any(num):
-        shift = len(num) - 1 - dd
-        coef = num[-1]
-        quot[shift] = coef
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - coef * c) % p
-        while len(num) > 1 and num[-1] == 0:
-            num.pop()
-    return quot, num
+def _find_modulus(digits: np.ndarray, p: int) -> Tuple[int, ...]:
+    """First monic irreducible of degree e in coefficient order: the smallest
+    code that no product of monic factors of degrees d and e - d reaches."""
+    q, e = digits.shape
+    reducible = np.zeros(q, dtype=bool)
+    for d in range(1, e // 2 + 1):
+        f, g = (np.hstack([digits[:p ** k, :k], np.ones((p ** k, 1), dtype=digits.dtype)]) for k in (d, e - d))
+        prod = np.zeros((len(f), len(g), e + 1), dtype=digits.dtype)
+        for i in range(d + 1):  # the convolution of every f with every g
+            prod[:, :, i:i + e - d + 1] += f[:, None, i, None] * g
+        reducible[prod[..., :e] % p @ p ** np.arange(e)] = True
+    return tuple(digits[reducible.argmin()].tolist()) + (1,)
+
+
+def _primitive_powers(digits: np.ndarray, modulus: Tuple[int, ...], p: int) -> List[int]:
+    """g^0, ..., g^(q-2) for the first element g, in index order, of
+    multiplicative order q - 1: the orbit of 1 under c -> g*c."""
+    q, e = digits.shape
+    pp = p ** np.arange(e)
+    # x*c for every c: shift the digits up and reduce x^e by the monic modulus.
+    top = digits[:, -1:]
+    times_x = (np.hstack([np.zeros_like(top), digits[:, :-1]]) - top * np.array(modulus[:e])) % p @ pp
+    x_powers = [np.arange(q)]
+    for _ in range(e - 1):
+        x_powers.append(times_x[x_powers[-1]])
+    shifted = digits[np.array(x_powers)]  # [j, c] holds the digits of x^j * c
+    for g in range(1, q):
+        times_g = (np.tensordot(digits[g], shifted, 1) % p @ pp).tolist()
+        orbit = [1]
+        while times_g[orbit[-1]] != 1:
+            orbit.append(times_g[orbit[-1]])
+        if len(orbit) == q - 1:
+            return orbit
+    raise AssertionError("no primitive element found")
 
 
 class FiniteField:
@@ -70,100 +91,14 @@ class FiniteField:
         q = p ** e
         if q > _TABLE_LIMIT:
             raise ValueError(f"field order {q} exceeds the dense-table limit {_TABLE_LIMIT}")
-        self.p = p
-        self.e = e
-        self.order = q
-        self.modulus = self._find_modulus()
+        self.p, self.e, self.order = p, e, q
         self._pp = [p ** i for i in range(e)]
-        g = self._find_primitive()
-        self.exp: List[int] = [1] * (q - 1)
-        acc = 1
-        for i in range(1, q - 1):
-            acc = self._mul_raw(acc, g)
-            self.exp[i] = acc
+        digits = np.arange(q)[:, None] // np.array(self._pp) % p  # row c: c's coefficients
+        self.modulus = _find_modulus(digits, p)
+        self.exp: List[int] = _primitive_powers(digits, self.modulus, p)
         self.log: List[int] = [0] * q  # log[0] unused
         for i, x in enumerate(self.exp):
             self.log[x] = i
-
-    # ── construction helpers ────────────────────────────────────────────
-
-    def _find_modulus(self) -> Tuple[int, ...]:
-        """First monic irreducible of degree e in coefficient order."""
-        p, e = self.p, self.e
-        if e == 1:
-            return (0, 1)
-        for code in range(p ** e):
-            low = self._digits(code, e)
-            poly = low + [1]
-            if self._is_irreducible(poly):
-                return tuple(poly)
-        raise AssertionError("no irreducible polynomial found")
-
-    def _digits(self, code: int, width: int) -> List[int]:
-        out = []
-        for _ in range(width):
-            out.append(code % self.p)
-            code //= self.p
-        return out
-
-    def _is_irreducible(self, poly: List[int]) -> bool:
-        p = self.p
-        deg = len(poly) - 1
-        for x in range(p):
-            acc = 0
-            for c in reversed(poly):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                return False
-        if deg <= 3:
-            return True
-        # Trial division by every monic polynomial of degree 2..deg//2.
-        for d in range(2, deg // 2 + 1):
-            for code in range(p ** d):
-                den = self._digits(code, d) + [1]
-                _, rem = _poly_divmod(poly[:], den, p)
-                if not any(rem):
-                    return False
-        return True
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Polynomial product reduced by the modulus (no tables)."""
-        p, e = self.p, self.e
-        da = self._digits(a, e)
-        db = self._digits(b, e)
-        prod = [0] * (2 * e - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        mod = self.modulus
-        for top in range(2 * e - 2, e - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for i in range(e):
-                    prod[top - e + i] = (prod[top - e + i] - c * mod[i]) % p
-        return sum(prod[i] * self._pp[i] for i in range(e))
-
-    def _find_primitive(self) -> int:
-        """First element in index order with multiplicative order q-1."""
-        q = self.order
-        if q == 2:
-            return 1
-        checks = [(q - 1) // ell for ell in _prime_factors(q - 1)]
-        for cand in range(2, q):
-            if all(self._pow_raw(cand, c) != 1 for c in checks):
-                return cand
-        raise AssertionError("no primitive element found")
-
-    def _pow_raw(self, a: int, k: int) -> int:
-        acc, base = 1, a
-        while k:
-            if k & 1:
-                acc = self._mul_raw(acc, base)
-            base = self._mul_raw(base, base)
-            k >>= 1
-        return acc
 
     # ── field operations ────────────────────────────────────────────────
 
@@ -247,22 +182,16 @@ def subfield_coset_partition(big: FiniteField, q: int) -> List[Tuple[int, ...]]:
     """
     if big.order != q * q:
         raise ValueError(f"field order {big.order} is not q^2 for q={q}")
-    sub = {0}
-    step = q + 1
-    for i in range(q - 1):
-        sub.add(big.exp[(i * step) % (big.order - 1)])
+    sub = np.unique([0] + big.exp[::q + 1])
     if len(sub) != q:
         raise AssertionError(f"subfield has {len(sub)} elements, expected {q}")
-    v = sorted(sub)
-    seen = set()
-    cosets: List[Tuple[int, ...]] = []
-    for a in range(big.order):
-        if a in seen:
-            continue
-        coset = tuple(sorted(big.add(a, x) for x in v))
-        seen.update(coset)
-        cosets.append(coset)
+    # a + v for every element a and subfield element v, digit by digit.
+    a = np.arange(big.order)
+    sums = np.zeros((big.order, q), dtype=np.int64)
+    for pw in big._pp:
+        sums += (a[:, None] // pw + sub[None, :] // pw) % big.p * pw
+    sums.sort(axis=1)
+    cosets = [tuple(c) for c in sums[sums[:, 0] == a].tolist()]  # a is its coset's smallest member
     if len(cosets) != q:
         raise AssertionError(f"{len(cosets)} cosets, expected {q}")
-    cosets.sort(key=lambda c: c[0])
     return cosets

@@ -430,8 +430,7 @@ def _perm_bits(n: int) -> np.ndarray:
     under the p-th permutation of the n vertices."""
     pairs = np.array(pair_order(n), dtype=np.int64).reshape(-1, 2)
     # int8 index arithmetic, exact for n <= 12, keeps the n!-row temporaries
-    # small.  The shift runs in int64: NumPy 1's value-based casting would
-    # otherwise run it in int8 and overflow from bit 7 on.
+    # small; the shift itself runs in int64.
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     i, j = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
     lo, hi = np.minimum(i, j), np.maximum(i, j)

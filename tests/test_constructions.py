@@ -1,5 +1,6 @@
 """Paley graphs, the switching pipeline, and duplicated-vertex graphs."""
 
+import hashlib
 import itertools
 import math
 
@@ -163,3 +164,22 @@ def test_paley_from_field_equals_the_field_sub_loop(q, adjacency):
 def test_remark_spectrum_takes_a_computed_spectrum(t):
     h = build_remark_graph(t)
     assert verify_remark_spectrum(h, t, spectrum=eigenvalues(h)) == verify_remark_spectrum(h, t)
+
+
+# sha256 of write_graph6 for constructions over fields with e > 1, where the
+# subfield cosets and the squares depend on the modulus and the primitive
+# element; the goldens reach only prime q.
+CONSTRUCTION_SHA256 = [
+    (build_switched_srg, 4, "39757110644354fe169f64db32e9f93c4a3646be40822b77c424442e6c2e9f1a"),
+    (build_extremal_srg, 4, "40b610779d8a7a435131ed1302b3cbafc91ec7cd911ace9c8d95ff3dee90df3d"),
+    (build_switched_srg, 12, "8b536a119561554d6f36663d37de5249e8522226e55a90bd9b2ae9a80d5a4eb1"),
+    (build_extremal_srg, 12, "e5796c3cd944be8448cbf29f79899eb64b417ae72d654e894d71649c117f4e91"),
+    (paley_graph, 81, "3d3912f6887894c79ec377bfa369e3ddf7896e2ff63ea168cd101955912f3f69"),
+    (paley_graph, 625, "0b8f4acaed67c2f0eb8ccee7cb62b98d52a149050b952d9636ff9e2219cb0c64"),
+    (paley_graph, 729, "71d8988fb371aadc2c31234bc3cd6df157c3c63f03031de5059fb6e33ff64335"),
+]
+
+
+@pytest.mark.parametrize("build,arg,digest", CONSTRUCTION_SHA256, ids=[f"{b.__name__}-{a}" for b, a, _ in CONSTRUCTION_SHA256])
+def test_prime_power_constructions_are_pinned(build, arg, digest):
+    assert hashlib.sha256(write_graph6(build(arg)).encode()).hexdigest() == digest

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from huckel.gf import (
+    _TABLE_LIMIT,
     FiniteField,
+    _prime_factors,
     is_prime_power,
     make_field,
     subfield_coset_partition,
@@ -143,3 +145,102 @@ def test_difference_table_and_squares_match_the_scalar_ops(p, e):
     for a in range(f.order):
         assert [int(x) for x in table[a]] == [f.sub(a, b) for b in range(f.order)]
         assert bool(squares[a]) == f.is_square(a)
+
+
+# The scalar table build the digit table replaced, kept as its oracle:
+# polynomials over GF(p) as coefficient lists, ascending.
+
+def _oracle_digits(code, p, width):
+    out = []
+    for _ in range(width):
+        out.append(code % p)
+        code //= p
+    return out
+
+
+def _oracle_divmod(num, den, p):
+    """Divide polynomials over GF(p); den monic."""
+    num = num[:]
+    dd = len(den) - 1
+    quot = [0] * max(1, len(num) - dd)
+    while len(num) - 1 >= dd and any(num):
+        shift = len(num) - 1 - dd
+        coef = num[-1]
+        quot[shift] = coef
+        for i, c in enumerate(den):
+            num[shift + i] = (num[shift + i] - coef * c) % p
+        while len(num) > 1 and num[-1] == 0:
+            num.pop()
+    return quot, num
+
+
+def _oracle_is_irreducible(poly, p):
+    """No root in GF(p), then trial division by every monic of degree 2..deg//2."""
+    deg = len(poly) - 1
+    for x in range(p):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            return False
+    for d in range(2, deg // 2 + 1):
+        for code in range(p ** d):
+            if not any(_oracle_divmod(poly, _oracle_digits(code, p, d) + [1], p)[1]):
+                return False
+    return True
+
+
+def _oracle_tables(p, e):
+    """(modulus, exp, log): the first monic irreducible in coefficient order,
+    and the powers of the first element of multiplicative order q - 1."""
+    q = p ** e
+    modulus = (0, 1)
+    if e > 1:
+        modulus = next(tuple(poly) for poly in (_oracle_digits(c, p, e) + [1] for c in range(q))
+                       if _oracle_is_irreducible(poly, p))
+
+    pp = [p ** i for i in range(e)]
+
+    def mul(a, b):
+        db = _oracle_digits(b, p, e)
+        prod = [0] * (2 * e - 1)
+        for i, ca in enumerate(_oracle_digits(a, p, e)):
+            if ca:
+                for j, cb in enumerate(db):
+                    prod[i + j] = (prod[i + j] + ca * cb) % p
+        for top in range(2 * e - 2, e - 1, -1):
+            c = prod[top]
+            if c:
+                prod[top] = 0
+                for i in range(e):
+                    prod[top - e + i] = (prod[top - e + i] - c * modulus[i]) % p
+        return sum(prod[i] * pp[i] for i in range(e))
+
+    def power(a, k):
+        acc = 1
+        while k:
+            if k & 1:
+                acc = mul(acc, a)
+            a, k = mul(a, a), k >> 1
+        return acc
+
+    checks = [(q - 1) // ell for ell in _prime_factors(q - 1)]
+    g = 1 if q == 2 else next(c for c in range(2, q) if all(power(c, k) != 1 for k in checks))
+    exp = [1]
+    for _ in range(q - 2):
+        exp.append(mul(exp[-1], g))
+    log = [0] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    return modulus, exp, log
+
+
+ORACLE_FIELDS = [pp for pp in map(is_prime_power, range(2, _TABLE_LIMIT + 1)) if pp and (pp[1] > 1 or pp[0] < 1000)]
+
+
+def test_tables_equal_the_scalar_oracle():
+    # Every p^e with e >= 2 in the dense-table range, and every prime below 1,000.
+    assert sum(e > 1 for _, e in ORACLE_FIELDS) == 51 and sum(e == 1 for _, e in ORACLE_FIELDS) == 168
+    for p, e in ORACLE_FIELDS:
+        f = make_field(p, e)
+        assert (f.modulus, f.exp, f.log) == _oracle_tables(p, e), (p, e)

@@ -16,6 +16,7 @@ from huckel.spectra import (
     half_spectrum,
     huckel_energy,
     invariants_hold,
+    match_spectrum,
 )
 
 SEEDS = [0x11A, 0x22B, 0x33C, 0x44D, 0x55E]
@@ -115,6 +116,14 @@ def test_group_spectrum():
     assert grouped[1][0] == pytest.approx(-1.0, abs=1e-9)
     assert group_spectrum([]) == []
     assert group_spectrum([1.0, 1.0 - 1e-9, 0.5]) == [(pytest.approx(1.0), 2), (0.5, 1)]
+
+
+def test_match_spectrum():
+    # K5 against its closed form {4, (-1)^4}: within TIGHT_TOL, signed deviations.
+    deviations, max_dev, matches = match_spectrum(eigenvalues(complete(5)).values, [4.0] + [-1.0] * 4)
+    assert len(deviations) == 5 and max_dev == max(abs(d) for d in deviations) < 1e-9 and matches
+    assert match_spectrum([2.0, 1.0], [2.0, 1.5]) == ((0.0, -0.5), 0.5, False)
+    assert match_spectrum([], []) == ((), 0.0, True)
 
 
 def test_half_filled_at_most_total_energy():
