@@ -161,7 +161,7 @@ def _cmd_analyze(args) -> int:
 def _spectrum_match(spec, params) -> dict:
     predicted = predicted_spectrum(params)
     flat = sorted((v for v, mult in predicted for _ in range(mult)), reverse=True)
-    _, max_dev, matches = match_spectrum(spec.values, flat)
+    max_dev, matches = match_spectrum(spec.values, flat)
     return {
         "spectrum_predicted": [[v, mult] for v, mult in predicted],
         "spectrum_grouped": [[v, mult] for v, mult in group_spectrum(spec.values)],

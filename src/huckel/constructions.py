@@ -102,8 +102,9 @@ def remark_cubic(t: int) -> Tuple[Tuple[float, float, float, float], Tuple[float
 
     Coefficients are returned descending:
     x^3 - (2t^2+3t) x^2 - (5t^2+7t+2) x + (4t^4+10t^3+8t^2+2t).
-    Roots come from sign bracketing and bisection to 1e-12; exactly three
-    sign changes must exist.
+    The critical points c- < c+ and the Cauchy bound B bracket one root each
+    in (-B, c-), (c-, c+) and (c+, B); p must change sign on each, and
+    bisection narrows it to SOLVER_TOL or until the midpoint stops moving.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -115,24 +116,17 @@ def remark_cubic(t: int) -> Tuple[Tuple[float, float, float, float], Tuple[float
         return ((x + c2) * x + c1) * x + c0
 
     bound = 1.0 + max(abs(c2), abs(c1), abs(c0))
-    grid = 4096
-    xs = [-bound + 2.0 * bound * i / grid for i in range(grid + 1)]
-    brackets = []
-    for a, b in zip(xs, xs[1:]):
-        fa, fb = poly(a), poly(b)
-        if fa == 0.0:
-            brackets.append((a, a))
-        elif fa * fb < 0.0:
-            brackets.append((a, b))
-    if poly(xs[-1]) == 0.0:
-        brackets.append((xs[-1], xs[-1]))
-    if len(brackets) != 3:
-        raise ConstructionError(f"expected 3 real-root brackets, found {len(brackets)}")
+    root_disc = math.sqrt(c2 * c2 - 3.0 * c1)  # c1 < 0 for every t >= 1
+    lo, hi = (-c2 - root_disc) / 3.0, (-c2 + root_disc) / 3.0
+    if not (poly(-bound) < 0.0 < poly(lo) and poly(hi) < 0.0 < poly(bound)):
+        raise ConstructionError(f"the cubic for t={t} does not have three sign-bracketed real roots")
     roots = []
-    for a, b in brackets:
+    for a, b in ((hi, bound), (lo, hi), (-bound, lo)):
         fa = poly(a)
         while b - a > SOLVER_TOL:
             mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
             fm = poly(mid)
             if fm == 0.0:
                 a = b = mid
@@ -141,7 +135,6 @@ def remark_cubic(t: int) -> Tuple[Tuple[float, float, float, float], Tuple[float
             else:
                 b = mid
         roots.append(0.5 * (a + b))
-    roots.sort(reverse=True)
     return (1.0, c2, c1, c0), (roots[0], roots[1], roots[2])
 
 
@@ -149,17 +142,13 @@ def remark_cubic(t: int) -> Tuple[Tuple[float, float, float, float], Tuple[float
 class RemarkSpectrumReport:
     matches: bool
     max_deviation: float
-    expected: Tuple[float, ...]
-    computed: Tuple[float, ...]
-    deviations: Tuple[float, ...]
     cubic_roots: Tuple[float, float, float]
 
 
 def verify_remark_spectrum(h: Graph, t: int, spectrum: Optional[Spectrum] = None) -> RemarkSpectrumReport:
     """Match h's spectrum (computed unless given) against the duplicated-vertex
     template {x1, t^(2t^2+2t-1), x2, 0, (-t-1)^(2t^2+2t), x3}, x1 >= x2 >= x3
-    the cubic's roots: it matches when every entry is within TIGHT_TOL.  The
-    report carries per-entry deviations."""
+    the cubic's roots: it matches when every entry is within TIGHT_TOL."""
     n = 4 * t * t + 4 * t + 3
     if h.n != n:
         raise ValueError(f"graph has {h.n} vertices, template needs {n}")
@@ -169,15 +158,8 @@ def verify_remark_spectrum(h: Graph, t: int, spectrum: Optional[Spectrum] = None
     template += [float(-t - 1)] * (2 * t * t + 2 * t)
     template.sort(reverse=True)
     spec = spectrum if spectrum is not None else eigenvalues(h)
-    deviations, max_dev, matches = match_spectrum(spec.values, template)
-    return RemarkSpectrumReport(
-        matches=matches,
-        max_deviation=max_dev,
-        expected=tuple(template),
-        computed=tuple(float(x) for x in spec.values),
-        deviations=deviations,
-        cubic_roots=roots,
-    )
+    max_dev, matches = match_spectrum(spec.values, template)
+    return RemarkSpectrumReport(matches=matches, max_deviation=max_dev, cubic_roots=roots)
 
 
 def conference_he_closed_form(t: int) -> float:

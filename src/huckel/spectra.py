@@ -150,10 +150,9 @@ def group_spectrum(values: Sequence[float]) -> List[Tuple[float, int]]:
     return out
 
 
-def match_spectrum(values: Sequence[float], template: Sequence[float]) -> Tuple[Tuple[float, ...], float, bool]:
-    """A non-increasing spectrum against a descending template, entry by
-    entry: the signed deviations, their largest magnitude (0.0 for none), and
-    whether it is within TIGHT_TOL."""
-    deviations = tuple(float(c) - e for c, e in zip(values, template))
-    max_dev = max((abs(d) for d in deviations), default=0.0)
-    return deviations, max_dev, max_dev <= TIGHT_TOL
+def match_spectrum(values: Sequence[float], template: Sequence[float]) -> Tuple[float, bool]:
+    """A non-increasing spectrum against a descending template of the same
+    length, entry by entry: the largest deviation (0.0 for none) and whether
+    it is within TIGHT_TOL.  A template of another length raises ValueError."""
+    max_dev = max((abs(float(c) - e) for c, e in zip(values, template, strict=True)), default=0.0)
+    return max_dev, max_dev <= TIGHT_TOL

@@ -108,9 +108,7 @@ def extremal_family_params(t: int) -> SrgParams:
 def switched_family_params(t: int) -> SrgParams:
     """Parameters of the switching construction output (complement of the
     extremal family): (4t^2+4t+2, 2t^2+t, t^2-1, t^2)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return SrgParams(4 * t * t + 4 * t + 2, 2 * t * t + t, t * t - 1, t * t)
+    return extremal_family_params(t).complement()
 
 
 def predicted_extremal_he(t: int) -> float:

@@ -22,8 +22,15 @@ from huckel.constructions import (
 )
 from huckel.gf import is_prime_power, make_field
 from huckel.graphs import Graph, complement, write_graph6
-from huckel.spectra import eigenvalues, energy_values
-from huckel.srg import srg_params
+from huckel.spectra import SOLVER_TOL, eigenvalues, energy_values
+from huckel.srg import (
+    SrgParams,
+    extremal_family_params,
+    predicted_extremal_he,
+    predicted_spectrum,
+    srg_params,
+    switched_family_params,
+)
 
 
 def test_paley_5_is_pentagon():
@@ -109,7 +116,6 @@ def test_remark_graph_spectrum(t):
     report = verify_remark_spectrum(h, t)
     assert report.matches
     assert report.max_deviation <= 1e-6
-    assert len(report.expected) == h.n
     assert report.cubic_roots[2] < -math.sqrt(2.0) * t
     # HE exceeds the additive estimate 2(2t^2+2t)(t+1)... by a sqrt(2)t margin.
     he = energy_values(eigenvalues(h)).huckel
@@ -117,6 +123,63 @@ def test_remark_graph_spectrum(t):
     assert he == pytest.approx(closed, abs=1e-8)
     estimate = 2.0 * (2 * t * t + 2 * t) * (t + 1) + 2.0 * math.sqrt(2.0) * t
     assert he > estimate
+
+
+def _grid_roots(t):
+    """The old root finder, kept as an oracle: sign changes on a 4,097-point
+    grid over the Cauchy bound, then bisection.  From t = 32 on one grid cell
+    holds both positive roots and it finds fewer than three brackets."""
+    _, c2, c1, c0 = remark_cubic(t)[0]
+
+    def poly(x):
+        return ((x + c2) * x + c1) * x + c0
+
+    bound = 1.0 + max(abs(c2), abs(c1), abs(c0))
+    xs = [-bound + 2.0 * bound * i / 4096 for i in range(4097)]
+    brackets = [(a, a) if poly(a) == 0.0 else (a, b) for a, b in zip(xs, xs[1:])
+                if poly(a) == 0.0 or poly(a) * poly(b) < 0.0]
+    if poly(xs[-1]) == 0.0:
+        brackets.append((xs[-1], xs[-1]))
+    assert len(brackets) == 3, t
+    roots = []
+    for a, b in brackets:
+        fa = poly(a)
+        while b - a > SOLVER_TOL:
+            mid = 0.5 * (a + b)
+            fm = poly(mid)
+            if fm == 0.0:
+                a = b = mid
+            elif (fa < 0.0) == (fm < 0.0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    return sorted(roots, reverse=True)
+
+
+def test_every_accepted_t_has_its_family_spectra():
+    # Every t that construct accepts: the remark graph's order 4t^2+4t+3 is at most 8,192 for t <= 44.
+    for t in range(1, 45):
+        coeffs, roots = remark_cubic(t)
+        assert roots[0] > roots[1] > roots[2]
+        assert roots == pytest.approx(sorted(np.roots(coeffs).real, reverse=True), rel=1e-9)
+        assert sum(roots) == pytest.approx(-coeffs[1], rel=1e-9)
+        assert roots[0] * roots[1] * roots[2] == pytest.approx(-coeffs[3], rel=1e-9)
+        if t <= 31:
+            old = _grid_roots(t)
+            assert max(abs(a - b) for a, b in zip(roots, old)) <= 1e-12
+            assert ["%.12g" % x for x in roots] == ["%.12g" % x for x in old]
+        n, k, f = 4 * t * t + 4 * t + 2, 2 * t * t + 3 * t + 1, 2 * t * t + 2 * t
+        assert predicted_spectrum(extremal_family_params(t)) == [(k, 1), (t, f), (-t - 1, f + 1)]
+        assert predicted_spectrum(switched_family_params(t)) == [(n - k - 1, 1), (t, f + 1), (-t - 1, f)]
+        assert predicted_extremal_he(t) == upper_bound_order(n)
+    remark_cubic(10 ** 5)  # returns: bisection stops once the midpoint no longer moves
+    for q in range(5, 8193, 4):
+        if is_prime_power(q):
+            half, root = (q - 1) // 2, math.sqrt(q)
+            spectrum = predicted_spectrum(SrgParams(q, half, (q - 5) // 4, (q - 1) // 4))
+            assert spectrum == [(half, 1), (pytest.approx((root - 1) / 2), half),
+                                (pytest.approx((-root - 1) / 2), half)]
 
 
 def test_remark_spectrum_wrong_order():

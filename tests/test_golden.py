@@ -10,6 +10,11 @@ rewrite them (and the seeded corpus they read) with
 
     PYTHONPATH=src python tests/test_golden.py
 
+or rewrite only the named cases' files and exit codes, leaving the corpus and
+every other file as they are, with
+
+    PYTHONPATH=src python tests/test_golden.py construct_remark_t1 construct_remark_t2
+
 and review the diff before committing it.
 """
 
@@ -146,24 +151,32 @@ def make_corpus(seed=CORPUS_SEED, count=CORPUS_SIZE):
     return "".join(r + "\n" for r in records)
 
 
-def regenerate():
+def regenerate(names=()):
+    """Rewrite the named cases' files and exit codes, or with no names every
+    golden file and the seeded corpus."""
     import tempfile
 
-    GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.iterdir():
-        old.unlink()
-    CORPUS.write_text(make_corpus(), encoding="ascii")
-    codes = {}
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
+    if names:
+        codes = json.loads(EXIT_CODES.read_text())
+    else:
+        GOLDEN.mkdir(exist_ok=True)
+        for old in GOLDEN.iterdir():
+            old.unlink()
+        CORPUS.write_text(make_corpus(), encoding="ascii")
+        codes, names = {}, sorted(CASES)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in names:
             code, stdout, artifact = run_case(name, tmp)
             codes[name] = code
             (GOLDEN / f"{name}.stdout").write_bytes(stdout)
             if artifact is not None:
                 (GOLDEN / f"{name}{CASES[name][1]}").write_bytes(artifact)
     EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n", encoding="ascii")
-    print(f"wrote {len(list(GOLDEN.iterdir()))} files to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(names)} case(s) to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -119,11 +119,15 @@ def test_group_spectrum():
 
 
 def test_match_spectrum():
-    # K5 against its closed form {4, (-1)^4}: within TIGHT_TOL, signed deviations.
-    deviations, max_dev, matches = match_spectrum(eigenvalues(complete(5)).values, [4.0] + [-1.0] * 4)
-    assert len(deviations) == 5 and max_dev == max(abs(d) for d in deviations) < 1e-9 and matches
-    assert match_spectrum([2.0, 1.0], [2.0, 1.5]) == ((0.0, -0.5), 0.5, False)
-    assert match_spectrum([], []) == ((), 0.0, True)
+    # K5 against its closed form {4, (-1)^4}: within TIGHT_TOL.
+    values = eigenvalues(complete(5)).values
+    max_dev, matches = match_spectrum(values, [4.0] + [-1.0] * 4)
+    assert max_dev == max(abs(values[0] - 4.0), *(abs(x + 1.0) for x in values[1:])) < 1e-9 and matches
+    assert match_spectrum([2.0, 1.0], [2.0, 1.5]) == (0.5, False)
+    assert match_spectrum([], []) == (0.0, True)
+    # A template of another length is an error, not a prefix comparison.
+    with pytest.raises(ValueError):
+        match_spectrum(values, [4.0] + [-1.0] * 3)
 
 
 def test_half_filled_at_most_total_energy():
