@@ -44,6 +44,13 @@ def paley_graph(q: int) -> Graph:
     return _paley_from_field(make_field(*pp), True)
 
 
+def _with_params(g: Graph, expected, what: str) -> Graph:
+    """g, once srg_params(g) equals expected; else a ConstructionError naming what."""
+    if (got := srg_params(g)) != expected:
+        raise ConstructionError(f"{what} has parameters {got and got.as_tuple()}, expected {expected.as_tuple()}")
+    return g
+
+
 def build_switched_srg(t: int) -> Graph:
     """Seidel-switching construction of srg(4t^2+4t+2, 2t^2+t, t^2-1, t^2).
 
@@ -64,29 +71,15 @@ def build_switched_srg(t: int) -> Graph:
     big = make_field(p, 2 * e)
     gamma = _paley_from_field(big, False)
     cosets = subfield_coset_partition(big, q)
-    g = add_isolated_vertex(gamma)
     switch_set = [v for coset in cosets[:t] for v in coset]
-    g = seidel_switch(g, switch_set)
-    expected = switched_family_params(t)
-    got = srg_params(g)
-    if got != expected:
-        raise ConstructionError(
-            f"switched graph has parameters {got and got.as_tuple()}, expected {expected.as_tuple()}"
-        )
-    return g
+    return _with_params(seidel_switch(add_isolated_vertex(gamma), switch_set), switched_family_params(t),
+                        "switched graph")
 
 
 def build_extremal_srg(t: int) -> Graph:
     """Complement of the switched construction: the strongly regular family
     (4t^2+4t+2, 2t^2+3t+1, t^2+2t, t^2+2t+1) attaining the even-order bound."""
-    g = complement(build_switched_srg(t))
-    expected = extremal_family_params(t)
-    got = srg_params(g)
-    if got != expected:
-        raise ConstructionError(
-            f"complement has parameters {got and got.as_tuple()}, expected {expected.as_tuple()}"
-        )
-    return g
+    return _with_params(complement(build_switched_srg(t)), extremal_family_params(t), "complement")
 
 
 def build_remark_graph(t: int) -> Graph:

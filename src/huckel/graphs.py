@@ -130,8 +130,6 @@ _HEADER = ">>graph6<<"
 _ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
 # The first character outside the graph6 byte range [63,126], '?' to '~'.
 _OUT_OF_RANGE = re.compile(r"[^?-~]")
-# A 6-bit group, written most significant bit first, to its graph6 byte.
-_G6_CHAR = {format(v, "06b"): chr(63 + v) for v in range(64)}
 
 
 def pair_order(n: int) -> List[Tuple[int, int]]:
@@ -148,21 +146,25 @@ def _size_header(n: int) -> str:
     raise Graph6Error(f"n={n} exceeds the supported graph6 range (max {_LONG_MAX})")
 
 
-def mask_graph6(n: int, mask: int) -> str:
-    """The graph6 record of the graph on n vertices with pair k an edge iff bit k of mask is set."""
-    head = _size_header(n)
-    width = -(-(n * (n - 1) // 2) // 6) * 6
-    bits = format(mask, f"0{width}b")[::-1]
-    return head + "".join([_G6_CHAR[bits[k:k + 6]] for k in range(0, width, 6)])
+def graph6_strings(n: int, bits: np.ndarray) -> List[str]:
+    """The graph6 records of (k, C(n,2)) uint8 pair bits in graph6 order, _body_bits'
+    inverse: the size header, then six bits a byte plus 63, most significant first."""
+    head, body = _size_header(n), np.full((len(bits), -(-bits.shape[1] // 6)), 63, np.uint8)
+    for s in range(6):  # bit s of each group of six
+        col = bits[:, s::6]
+        body[:, :col.shape[1]] += col << (5 - s)
+    text, w = body.tobytes().decode("ascii"), body.shape[1]
+    return [head + text[i * w:(i + 1) * w] for i in range(len(bits))]
 
 
 def write_graph6(g: Graph) -> str:
-    # Column j of the upper triangle is bits 0..j-1 of row j: OR them into one
-    # int at offset j(j-1)/2, whose bit k is then the k-th graph6 bit.
-    rows, mask = g.rows, 0
-    for j in range(1, g.n):
-        mask |= (rows[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
-    return mask_graph6(g.n, mask)
+    n, width = g.n, (g.n + 7) // 8
+    _size_header(n)  # an order graph6 cannot write raises before the bits are allocated
+    bits = np.zeros((1, n * (n - 1) // 2), np.uint8)
+    for j in range(1, n):  # bits 0..j-1 of row j are column j of the upper triangle, at offset j(j-1)/2
+        row = np.frombuffer(g.rows[j].to_bytes(width, "little"), np.uint8)
+        bits[0, j * (j - 1) // 2:j * (j + 1) // 2] = np.unpackbits(row, count=j, bitorder="little")
+    return graph6_strings(n, bits)[0]
 
 
 def graph6_records(fh: TextIO) -> Iterator[Tuple[int, str]]:

@@ -40,7 +40,7 @@ from .bounds import (
 # parse_graph6 and write_graph6 are not called here: they stay bound for
 # perfbench's tracer, which wraps them here.
 from .graphs import (Graph6Error, _body_bits, _size_header, decode_graph6, decode_graph6_batch, graph6_records,
-                     mask_graph6, pair_batch, pair_order, parse_graph6, write_graph6)
+                     graph6_strings, pair_batch, pair_order, parse_graph6, write_graph6)
 from .spectra import DUST_TOL, TIGHT_TOL, VIOLATION_TOL, energy, half_spectrum, invariants_hold
 
 ENUM_MAX_N = 8
@@ -211,13 +211,6 @@ def _sections(path: str, chunk: List[Tuple[int, str]], base: int,
     return len(order)
 
 
-def _body_graph6(n: int, bodies: np.ndarray) -> Callable[[int], str]:
-    """The graph6 string of row i of (k, w) bodies less 63, built when asked for."""
-    head, w = _size_header(n), bodies.shape[1]
-    text = (bodies + np.uint8(63)).tobytes().decode("ascii")
-    return lambda i: head + text[i * w:(i + 1) * w]
-
-
 # ─── the check table ────────────────────────────────────────────────────────
 
 
@@ -358,7 +351,7 @@ def _dump_rows(b: _Batch, g6_of) -> Iterator[tuple]:
 
     slack_n = None if f["upper_n"] is None else f["upper_n"] - b.he
     return zip(
-        list(map(g6_of, range(rows))), [n] * rows, b.m.tolist(), col(b.he), col(energy(b.w)), col(b.alpha),
+        g6_of(np.arange(rows)), [n] * rows, b.m.tolist(), col(b.he), col(energy(b.w)), col(b.alpha),
         col(b.beta), col(f["upper_nm"]), col(f["upper_nm_regime"], str), flag(f["upper_nm_applies"]),
         col(f["slack_upper"]), col(f["upper_n"]), col(slack_n), col(f["lower"]), flag(f["lower_applies"]),
         col(f["slack_lower"]), col(f["inter_f1"]), col(f["inter_f2"]), f["lemma1"],
@@ -385,18 +378,18 @@ def _tally(rep: SweepReport, ok: np.ndarray, verdicts: Dict[str, Sequence[np.nda
            weight: Optional[np.ndarray] = None) -> None:
     """Add judged rows to rep: ok, the solver's mask, and each check's
     (applicable, violated, slack) rows, each row counted weight times (once
-    without weights)."""
+    without weights); g6_of maps an index array to its rows' graph6 strings."""
     if weight is None:
         weight = np.ones(len(ok), dtype=np.int64)
     rep.graph_count += int(weight.sum())
-    rep.solver_failures.extend(g6_of(int(i)) for i in np.nonzero(~ok)[0])
+    rep.solver_failures.extend(g6_of(np.flatnonzero(~ok)))
     for name, (applicable, viol, slack, *_) in verdicts.items():
         tally = CheckTally(
             checked=int(weight.sum()),
             holds=int(weight[applicable & ~viol].sum()),
             violated=int(weight[viol].sum()),
             not_applicable=int(weight[~applicable].sum()),
-            examples=[g6_of(int(i)) for i in np.nonzero(viol)[0][:_VIOLATION_CAP]],
+            examples=g6_of(np.flatnonzero(viol)[:_VIOLATION_CAP]),
         )
         if applicable.any():
             sl = slack[applicable]
@@ -410,7 +403,7 @@ def _tally(rep: SweepReport, ok: np.ndarray, verdicts: Dict[str, Sequence[np.nda
             # relative equality tags of classify_equality.
             wit = np.nonzero(applicable & (np.abs(slack) <= TIGHT_TOL))[0]
             tally.witness_count = int(weight[wit].sum())
-            tally.witnesses = [g6_of(int(i)) for i in wit]
+            tally.witnesses = g6_of(wit)
         rep.checks[name].add(tally)
 
 
@@ -492,14 +485,19 @@ def _near_decision(check: Check, b: _Batch, applicable, slack, bound, tol: float
 # ─── drivers ────────────────────────────────────────────────────────────────
 
 
+def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
+    """The (B, C(n,2)) uint8 pair bits of edge masks: bit k of a mask is pair k."""
+    return ((masks[:, None] >> np.arange(n * (n - 1) // 2, dtype=np.int64)) & 1).astype(np.uint8)
+
+
 def _mask_batch(n: int, masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The (B, n, n) adjacency batch and edge counts of edge masks."""
-    bits = (masks[:, None] >> np.arange(n * (n - 1) // 2, dtype=np.int64)) & 1
-    return pair_batch(n, bits), bits.sum(axis=1)
+    return pair_batch(n, bits := _mask_bits(n, masks)), bits.sum(axis=1, dtype=np.int64)
 
 
-def _mask_graph6(n: int, masks: np.ndarray):
-    return lambda i: mask_graph6(n, int(masks[i]))
+def _graph6_of(n: int, rows: np.ndarray, bits_of) -> Callable[[np.ndarray], List[str]]:
+    """The report callback: the graph6 strings of the rows an index array picks; an empty pick packs nothing."""
+    return lambda idx: graph6_strings(n, bits_of(n, rows[idx])) if len(idx) else []
 
 
 def _pieces(masks: np.ndarray, parts: int) -> List[np.ndarray]:
@@ -626,9 +624,9 @@ def _process_classes(
             copies = copies if r in copies else np.sort(np.concatenate((copies, _orbit(n, r))))
         keep = ~np.isin(masks, copies, assume_unique=True)  # masks are distinct; copies sorted, distinct
         _tally(rep, ok[keep], {c: [x[keep] for x in v] for c, v in verdicts.items()},
-               _mask_graph6(n, masks[keep]), weights[keep])
+               _graph6_of(n, masks[keep], _mask_bits), weights[keep])
         if len(copies):
-            _tally(rep, *solve(copies)[1:], _mask_graph6(n, copies))
+            _tally(rep, *solve(copies)[1:], _graph6_of(n, copies, _mask_bits))
     return rep
 
 
@@ -670,7 +668,7 @@ def sweep_labeled(
     rep = SweepReport.for_checks(n, checks)
     with _dump_writer(dump_path) as dump:
         for piece in _pieces(np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), 1):
-            _add_batch(rep, _Batch(n, *_mask_batch(n, piece), checks, tol), _mask_graph6(n, piece), dump)
+            _add_batch(rep, _Batch(n, *_mask_batch(n, piece), checks, tol), _graph6_of(n, piece, _mask_bits), dump)
     return rep.finalize()
 
 
@@ -691,7 +689,7 @@ def sweep(
     buffers opened first are swept until they fit.  A buffer is eigensolved
     in sub-batches of at most _SOLVE_CELLS adjacency entries, each unpacked
     from its bodies just before; a row's graph6 string is built only when
-    it is reported."""
+    it is reported, from the body's bits."""
     checks = _validate_checks(checks)
     reports: Dict[int, SweepReport] = {}
     buffers: Dict[int, list] = {}  # order -> [position it opened at, rows, [bodies, ...]]
@@ -709,7 +707,7 @@ def sweep(
             # A body's set bits are its pair bits, as its padding is zero.
             _add_batch(reports[n], _Batch(n, pair_batch(n, _body_bits(n, sub)),
                                           np.bitwise_count(sub).sum(axis=1, dtype=np.int64), checks, tol),
-                       _body_graph6(n, sub), dump)
+                       _graph6_of(n, sub, _body_bits), dump)
         return bodies.nbytes
 
     with _dump_writer(dump_path) as dump:

@@ -1,4 +1,5 @@
-"""Shared test helpers: graph builders, seeded random graphs and corpus records."""
+"""Shared test helpers: graph builders, seeded random graphs, corpus records,
+and the string-formatting graph6 encoder that graphs.graph6_strings replaced."""
 
 import importlib
 import itertools
@@ -6,9 +7,23 @@ import random
 
 import numpy as np
 
-from huckel.graphs import Graph, _body_bits, parse_graph6, write_graph6
+from huckel.graphs import Graph, _body_bits, graph6_strings, parse_graph6, write_graph6
 
 S = importlib.import_module("huckel.sweep")  # the package's sweep() shadows the module
+
+
+# A 6-bit group, written most significant bit first, to its graph6 byte.
+_G6_CHAR = {format(v, "06b"): chr(63 + v) for v in range(64)}
+
+
+def mask_graph6(n: int, mask: int) -> str:
+    """The graph6 record of the graph on n vertices with pair k an edge iff
+    bit k of mask is set, formatted as a bit string six characters at a time:
+    the oracle of graph6_strings and a record generator."""
+    head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    width = -(-(n * (n - 1) // 2) // 6) * 6
+    bits = format(mask, f"0{width}b")[::-1]
+    return head + "".join([_G6_CHAR[bits[k:k + 6]] for k in range(0, width, 6)])
 
 
 def complete(n: int) -> Graph:
@@ -54,9 +69,9 @@ def corpus_graphs(path, on_error="raise"):
     for section in S.corpus_records(str(path), on_error):
         for n, bodies, at in section:
             assert len(bodies) == len(at)
-            g6_of = S._body_graph6(n, bodies)
-            for k, (row, pos) in enumerate(zip(_body_bits(n, bodies), at.tolist())):
-                g = parse_graph6(g6_of(k))
+            bits = _body_bits(n, bodies)
+            for record, row, pos in zip(graph6_strings(n, bits), bits, at.tolist()):
+                g = parse_graph6(record)
                 assert g.n == n and np.array_equal(pair_bits(g), row)
                 rows.append((pos, g))
     assert len({pos for pos, _ in rows}) == len(rows)

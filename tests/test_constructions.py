@@ -1,6 +1,7 @@
 """Paley graphs, the switching pipeline, and duplicated-vertex graphs."""
 
 import hashlib
+import importlib
 import itertools
 import math
 
@@ -78,6 +79,26 @@ def test_extremal_he_attains_order_bound():
         ext = build_extremal_srg(t)
         he = energy_values(eigenvalues(ext)).huckel
         assert he == pytest.approx(upper_bound_order(ext.n), abs=1e-8)
+
+
+def test_builders_refuse_a_graph_with_other_parameters(monkeypatch):
+    # Each builder returns its graph only once srg_params matches its family,
+    # and otherwise names what it built.
+    constructions = importlib.import_module("huckel.constructions")
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "switched_family_params", lambda t: SrgParams(10, 3, 0, 2))
+        with pytest.raises(ConstructionError) as exc:
+            build_switched_srg(1)
+    assert str(exc.value) == "switched graph has parameters (10, 3, 0, 1), expected (10, 3, 0, 2)"
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "extremal_family_params", lambda t: SrgParams(10, 6, 3, 3))
+        with pytest.raises(ConstructionError) as exc:
+            build_extremal_srg(1)
+    assert str(exc.value) == "complement has parameters (10, 6, 3, 4), expected (10, 6, 3, 3)"
+    monkeypatch.setattr(constructions, "srg_params", lambda g: None)
+    with pytest.raises(ConstructionError) as exc:
+        build_switched_srg(1)
+    assert str(exc.value) == "switched graph has parameters None, expected (10, 3, 0, 1)"
 
 
 def test_switched_family_needs_prime_power():

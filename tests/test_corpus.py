@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import complete, corpus_graphs, cycle, pair_bits, path, random_graph, star
+from conftest import complete, corpus_graphs, cycle, mask_graph6, pair_bits, path, random_graph, star
 from huckel import cli
 from huckel.graphs import (
     Graph,
@@ -23,7 +23,6 @@ from huckel.graphs import (
     _body_bits,
     decode_graph6_batch,
     graph6_records,
-    mask_graph6,
     pair_batch,
     pair_order,
     parse_graph6,
@@ -129,7 +128,8 @@ def old_sweep(graphs, checks=S.ALL_CHECKS, tol=VIOLATION_TOL, dump_path=None):
             reports[n] = S.SweepReport.for_checks(n, checks)
         a = dense_batch(buf, n)
         m_arr = (a.sum(axis=(1, 2)) / 2).astype(np.int64)
-        S._add_batch(reports[n], S._Batch(n, a, m_arr, checks, tol), lambda i: write_graph6(buf[i]), dump)
+        S._add_batch(reports[n], S._Batch(n, a, m_arr, checks, tol), lambda idx: [write_graph6(buf[i]) for i in idx],
+                     dump)
 
     with S._dump_writer(dump_path) as dump:
         for g in graphs:
@@ -222,9 +222,10 @@ def test_mask_graph6_equals_the_old_composition():
             masks = np.arange(1 << size, dtype=np.int64)
         else:
             masks = rng.integers(0, 1 << size, 3000, dtype=np.int64)
-        encode, pairs = S._mask_graph6(n, masks), pair_order(n)
-        for i, mask in enumerate(masks.tolist()):
-            assert encode(i) == write_graph6(graph_from_mask(n, pairs, mask)), (n, mask)
+        got, pairs = S._graph6_of(n, masks, S._mask_bits)(np.arange(len(masks))), pair_order(n)
+        assert len(got) == len(masks)
+        for record, mask in zip(got, masks.tolist()):
+            assert record == write_graph6(graph_from_mask(n, pairs, mask)), (n, mask)
 
 
 # ─── the corpus sweep against the old one ───────────────────────────────────

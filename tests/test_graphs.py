@@ -3,22 +3,26 @@
 import io
 import random
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import complete, cycle, path, random_graph, star
+from conftest import complete, cycle, mask_graph6, path, random_graph, star
 from huckel.graphs import (
     _LONG_MAX,
     _ORDER_MAX,
     Graph,
     Graph6Error,
+    _body_bits,
     add_duplicate_vertex,
     add_isolated_vertex,
     complement,
+    decode_graph6,
     disjoint_union,
     graph6_records,
+    graph6_strings,
     pair_order,
     parse_graph6,
     seidel_switch,
@@ -235,8 +239,16 @@ def test_graph6_reject_nonzero_padding():
 
 
 def test_graph6_write_size_limit():
-    with pytest.raises(Graph6Error):
-        write_graph6(Graph(258048))
+    # The order is refused before its C(n, 2) pair bits are allocated.
+    g = Graph(258048)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Graph6Error, match="n=258048 exceeds the supported graph6 range"):
+            write_graph6(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -272,12 +284,64 @@ def _graph6_by_bit_loop(g: Graph) -> str:
     return "".join(out)
 
 
+def _write_graph6_by_mask(g: Graph) -> str:
+    """The writer graph6_strings replaced: every row ORed into one int at
+    offset j(j-1)/2, then formatted by mask_graph6."""
+    mask = 0
+    for j in range(1, g.n):
+        mask |= (g.rows[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    return mask_graph6(g.n, mask)
+
+
 def test_write_graph6_equals_the_bit_loop():
     rng = random.Random(0x96)
     graphs = [random_graph(rng, n, rng.random()) for n in range(90)]
-    graphs += [random_graph(rng, 300, 0.3), complete(70), Graph(63)]
+    graphs += [random_graph(rng, 300, 0.3), random_graph(rng, 626, 0.5), complete(70), Graph(63), Graph(626)]
     for g in graphs:
-        assert write_graph6(g) == _graph6_by_bit_loop(g), g.n
+        assert write_graph6(g) == _graph6_by_bit_loop(g) == _write_graph6_by_mask(g), g.n
+
+
+def _mask_bits(n, masks):
+    """(len(masks), C(n,2)) uint8 pair bits of int masks, bit k of a mask pair k."""
+    size = n * (n - 1) // 2
+    bits = np.zeros((len(masks), size), np.uint8)
+    for row, mask in zip(bits, masks):
+        row[:] = np.unpackbits(np.frombuffer(mask.to_bytes(size // 8 + 1, "little"), np.uint8), count=size,
+                               bitorder="little")
+    return bits
+
+
+def _assert_strings_equal_the_string_encoder(n, masks):
+    got = graph6_strings(n, _mask_bits(n, masks))
+    assert got == [mask_graph6(n, mask) for mask in masks], n
+
+
+def test_graph6_strings_equal_the_string_encoder_on_every_small_mask():
+    for n in range(6):
+        _assert_strings_equal_the_string_encoder(n, range(1 << (n * (n - 1) // 2)))
+
+
+def test_graph6_strings_equal_the_string_encoder_on_seeded_masks():
+    rng = random.Random(0x9A)
+    for n in range(6, 21):
+        _assert_strings_equal_the_string_encoder(n, [rng.getrandbits(n * (n - 1) // 2) for _ in range(2000)])
+    for n in (0, 1, 2, 62, 63, 100, 200):
+        size = n * (n - 1) // 2
+        masks = [0, (1 << size) - 1] + [rng.getrandbits(size) if size else 0 for _ in range(20)]
+        _assert_strings_equal_the_string_encoder(n, masks)
+    assert graph6_strings(7, np.zeros((0, 21), np.uint8)) == []
+
+
+def test_graph6_strings_invert_body_bits_on_the_golden_corpus():
+    lines = (Path(__file__).resolve().parent / "golden" / "corpus.g6").read_text().split()
+    assert len(lines) == 500
+    for record in lines:
+        n, bits, canonical = decode_graph6(record)
+        head = 1 if n <= 62 else 4
+        body = np.frombuffer(record[head:].encode("ascii"), np.uint8) - np.uint8(63)
+        assert np.array_equal(_body_bits(n, body[None])[0], bits)
+        mask = sum(1 << k for k in np.flatnonzero(bits).tolist())
+        assert graph6_strings(n, _body_bits(n, body[None])) == [record] == [mask_graph6(n, mask)] == [canonical]
 
 
 def _size_header(n):

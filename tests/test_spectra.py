@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import complete, cycle, path, random_graph, star
-from huckel.graphs import Graph, mask_graph6, parse_graph6
+from conftest import complete, cycle, mask_graph6, path, random_graph, star
+from huckel.graphs import Graph, parse_graph6
 from huckel.spectra import (
     eigenvalues,
     energy,

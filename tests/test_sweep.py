@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from huckel.bounds import lemma1_check, lower_bound, upper_bound, upper_bound_applies, upper_bound_order
-from conftest import complete, corpus_graphs, cycle, graph_records, path, star
-from huckel.graphs import Graph, add_isolated_vertex, mask_graph6, pair_order, parse_graph6
+from conftest import complete, corpus_graphs, cycle, graph_records, mask_graph6, path, star
+from huckel.graphs import Graph, add_isolated_vertex, pair_order, parse_graph6
 from huckel.spectra import DUST_TOL, TIGHT_TOL, energy
 from huckel.sweep import (
     ALL_CHECKS,
@@ -204,7 +204,7 @@ def _dump_rows_by_loop(b, g6_of):
     rows = []
     for idx in range(len(b.m)):
         m, he = int(b.m[idx]), b.he[idx]
-        row = [g6_of(idx), n, m, g(he), g(en[idx]), g(b.alpha[idx]), g(b.beta[idx]) if n % 2 else ""]
+        row = [g6_of(np.array([idx]))[0], n, m, g(he), g(en[idx]), g(b.alpha[idx]), g(b.beta[idx]) if n % 2 else ""]
         if n >= 2:
             nm = table[0][m]
             row += [g(nm), table[1][m], int(bool(table[2][m])), g(nm - he)]
@@ -656,3 +656,34 @@ def test_each_corpus_record_is_eigensolved_once(monkeypatch):
     counts = _count_eigensolved(monkeypatch)
     reports = sweep(corpus_records(str(path)))
     assert sum(counts) == sum(rep.graph_count for rep in reports) == len(path.read_text().split())
+
+
+def test_each_reported_list_is_encoded_in_one_call(monkeypatch, tmp_path):
+    # _tally encodes the solver failures, and each check's violation examples
+    # and witnesses, in one call each; _dump_rows encodes a batch's graph6
+    # column in one call.  Every call gets an index array, never one row.
+    calls = []
+
+    def counted(tally):
+        def wrapped(rep, ok, verdicts, g6_of, weight=None):
+            def encode(idx):
+                assert isinstance(idx, np.ndarray) and idx.ndim == 1
+                calls[-1].append(len(idx))
+                return g6_of(idx)
+            calls.append([])
+            tally(rep, ok, verdicts, encode, weight)
+            assert len(calls[-1]) <= 1 + 2 * len(verdicts)
+        return wrapped
+
+    monkeypatch.setattr(sweep_module, "_tally", counted(sweep_module._tally))
+    rep = sweep_labeled(7)
+    assert sum(map(sum, calls)) >= sum(t.witness_count for t in rep.checks.values()) > 1000
+    calls.clear()
+    sweep(corpus_records(str(Path(__file__).resolve().parent / "golden" / "corpus.g6")), dump_path=str(tmp_path / "d"))
+    assert calls and all(len(c) <= 1 + 2 * len(ALL_CHECKS) for c in calls)
+
+    dumped, rows = [], sweep_module._dump_rows
+    monkeypatch.setattr(sweep_module, "_dump_rows",
+                        lambda b, g6_of: rows(b, lambda idx: dumped.append(len(idx)) or g6_of(idx)))
+    sweep_labeled(5, dump_path=str(tmp_path / "labeled.csv"))
+    assert dumped == [1 << 10]
