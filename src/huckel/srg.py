@@ -44,6 +44,9 @@ class SrgParams:
         return (self.n, self.k, self.lam, self.mu)
 
 
+_BLOCK_ROWS = 256
+
+
 def srg_params(g: Union[Graph, np.ndarray]) -> Optional[SrgParams]:
     """Detect strong regularity combinatorially via common-neighbor counts.
 
@@ -58,14 +61,21 @@ def srg_params(g: Union[Graph, np.ndarray]) -> Optional[SrgParams]:
     k = int(degs[0])
     if (degs != k).any() or k == 0 or k == n - 1:
         return None
-    # Common-neighbour counts are the entries of A @ A, exact in float64;
-    # 0 < k < n-1 guarantees both an edge and a non-edge.
-    upper = np.triu_indices(n, 1)
-    edge, common = a[upper] > 0.0, (a @ a)[upper]
-    lam, mu = common[edge], common[~edge]
-    if lam.min() != lam.max() or mu.min() != mu.max():
-        return None
-    return SrgParams(n, k, int(lam[0]), int(mu[0]))
+    # Common-neighbour counts are the entries of A @ A, integers and so exact
+    # in float64.  0 < k < n-1 gives row 0 an edge and a non-edge, which fix
+    # lam and mu; then A @ A = mu J + (lam - mu) A + (k - mu) I, by row blocks.
+    common, edge = a[0] @ a, a[0] > 0
+    lam, mu = int(common[edge.argmax()]), int(common[1 + (~edge[1:]).argmax()])
+    out = np.empty((min(n, _BLOCK_ROWS), n), dtype=a.dtype)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = a[lo:lo + _BLOCK_ROWS]
+        block = np.matmul(rows, a, out=out[:len(rows)])
+        np.subtract(block, lam - mu, out=block, where=rows > 0)
+        diag = np.arange(len(rows))
+        block[diag, lo + diag] -= k - mu
+        if (block != mu).any():
+            return None
+    return SrgParams(n, k, lam, mu)
 
 
 def predicted_spectrum(p: SrgParams) -> List[Tuple[float, int]]:
@@ -103,6 +113,12 @@ def extremal_family_params(t: int) -> SrgParams:
     if t < 1:
         raise ValueError("t must be >= 1")
     return SrgParams(4 * t * t + 4 * t + 2, 2 * t * t + 3 * t + 1, t * t + 2 * t, t * t + 2 * t + 1)
+
+
+def conference_params(q: int) -> SrgParams:
+    """Parameters of the Paley graph on GF(q), q = 1 mod 4:
+    (q, (q-1)/2, (q-5)/4, (q-1)/4)."""
+    return SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
 
 
 def switched_family_params(t: int) -> SrgParams:

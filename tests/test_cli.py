@@ -431,12 +431,18 @@ def test_repeated_runs_byte_identical(capsys, tmp_path):
     ["construct", "conference", "--q", "13"],
 ])
 def test_construct_eigensolves_its_graph_once(argv, capsys, monkeypatch, tmp_path):
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    # Each builder proves its graph's structure, so construct solves for the
+    # eigenvalues alone: one eigvalsh, and no eigh with its eigenvectors.
+    # analyze keeps one eigh per record (test_analyze), since it prints the residual.
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(a, name=name, solver=getattr(np.linalg, name)):
+            calls[name] += 1
+            return solver(a)
+        monkeypatch.setattr(np.linalg, name, counted)
     code, out, err = run(capsys, argv + ["--cert", str(tmp_path / "cert.json")])
     assert code == 0 and err == ""
-    assert len(calls) == 1
+    assert calls == {"eigh": 0, "eigvalsh": 1}
 
 
 def test_verify_dump_refused_at_order_8(capsys, tmp_path):
@@ -448,9 +454,9 @@ def test_verify_dump_refused_at_order_8(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, graphs", [
     (["construct", "switched", "--t", "2"], 1),  # the builder's post-condition
-    (["construct", "extremal", "--t", "1"], 2),  # the switched graph, then its complement
-    (["construct", "remark", "--t", "1"], 3),  # those two, then the remark graph in the CLI
-    (["construct", "conference", "--q", "13"], 1),
+    (["construct", "extremal", "--t", "1"], 1),  # the switched graph; its complement's follow
+    (["construct", "remark", "--t", "1"], 2),  # the switched graph, then the remark graph in the CLI
+    (["construct", "conference", "--q", "13"], 1),  # the builder's post-condition
 ])
 def test_construct_computes_srg_parameters_once_per_graph(argv, graphs, capsys, monkeypatch, tmp_path):
     seen = []

@@ -101,6 +101,30 @@ def test_builders_refuse_a_graph_with_other_parameters(monkeypatch):
     assert str(exc.value) == "switched graph has parameters None, expected (10, 3, 0, 1)"
 
 
+def test_paley_graph_refuses_a_graph_with_other_parameters(monkeypatch):
+    constructions = importlib.import_module("huckel.constructions")
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "conference_params", lambda q: SrgParams(13, 6, 2, 2))
+        with pytest.raises(ConstructionError) as exc:
+            paley_graph(13)
+    assert str(exc.value) == "Paley graph has parameters (13, 6, 2, 3), expected (13, 6, 2, 2)"
+    monkeypatch.setattr(constructions, "srg_params", lambda g: None)
+    with pytest.raises(ConstructionError) as exc:
+        paley_graph(5)
+    assert str(exc.value) == "Paley graph has parameters None, expected (5, 2, 0, 1)"
+
+
+def test_remark_builder_refuses_a_partition_that_is_not_equitable(monkeypatch):
+    # The duplicate must copy N(0); a copy of N(1) breaks the quotient
+    # [[0,0,k,0], [0,0,k,0], [1,1,lam,k-1-lam], [0,0,mu,k-mu]].
+    constructions = importlib.import_module("huckel.constructions")
+    duplicate = constructions.add_duplicate_vertex
+    assert build_remark_graph(1) == duplicate(build_extremal_srg(1), 0)
+    monkeypatch.setattr(constructions, "add_duplicate_vertex", lambda g, v: duplicate(g, v + 1))
+    with pytest.raises(ConstructionError, match="not an equitable partition"):
+        build_remark_graph(1)
+
+
 def test_switched_family_needs_prime_power():
     # t=7 gives q=15, not a prime power.
     with pytest.raises(ConstructionError, match="prime power"):

@@ -85,6 +85,30 @@ def test_golden(name, tmp_path):
         assert artifact == (GOLDEN / f"{name}{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(n for n, (_, suffix) in CASES.items() if suffix == ".cert.json"))
+def test_construct_certificates_hold_only_rounding_dust(name):
+    # The deviations from the proven spectra, and the slacks against the
+    # bounds, are dust below 1e-12 relative: a regeneration that moves them
+    # further is a real change.  The extremal family attains both bounds,
+    # so its slacks are 0; the switched family's are the distance from its
+    # exact HE, summed over its integral spectrum.
+    from huckel.bounds import upper_bound, upper_bound_order
+    from huckel.srg import SrgParams, predicted_spectrum
+
+    cert = json.loads((GOLDEN / f"{name}.cert.json").read_text())
+    assert cert["max_spectrum_deviation"] <= 1e-12
+    if cert["family"] not in ("switched", "extremal"):
+        return
+    n = cert["n"]
+    values = sorted((v for v, mult in predicted_spectrum(SrgParams(*cert["params"])) for _ in range(mult)), reverse=True)
+    assert all(v == int(v) for v in values)
+    he = 2 * sum(int(v) for v in values[:n // 2])
+    for key, bound in (("upper_n", upper_bound_order(n)), ("upper_nm", upper_bound(n, cert["m"])[0])):
+        assert abs(cert[f"slack_{key}"] - (bound - he)) <= 1e-12 * bound, key
+        if cert["family"] == "extremal":
+            assert bound == he and abs(cert[f"slack_{key}"]) <= 1e-12 * bound, key
+
+
 def test_golden_set_is_complete():
     expected = {f"{name}.stdout" for name in CASES}
     expected |= {f"{name}{suffix}" for name, (_, suffix) in CASES.items() if suffix}

@@ -1,5 +1,10 @@
 """Strongly regular graph detection, spectra, and extremal parameter families."""
 
+import importlib
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from conftest import complete, cycle, path, star
@@ -10,6 +15,7 @@ from huckel.spectra import eigenvalues, group_spectrum, huckel_energy
 from huckel.srg import (
     InfeasibleParamsError,
     SrgParams,
+    conference_params,
     extremal_family_params,
     predicted_extremal_he,
     predicted_spectrum,
@@ -161,3 +167,87 @@ def test_srg_params_equals_the_common_neighbour_loop():
             assert all(type(x) is int for x in got.as_tuple())
     assert srg_params(two_triangles).as_tuple() == (6, 2, 1, 0)
     assert srg_params(cube) is None and srg_params(cycle(6)) is None
+
+
+def _srg_by_gather(a):
+    """srg_params before the identity check: every common-neighbour count of
+    the upper triangle gathered from the full product A @ A."""
+    n = len(a)
+    if n < 3:
+        return None
+    degs = a.sum(axis=1)
+    k = int(degs[0])
+    if (degs != k).any() or k == 0 or k == n - 1:
+        return None
+    upper = np.triu_indices(n, 1)
+    edge, common = a[upper] > 0.0, (a @ a)[upper]
+    lam, mu = common[edge], common[~edge]
+    if lam.min() != lam.max() or mu.min() != mu.max():
+        return None
+    return SrgParams(n, k, int(lam[0]), int(mu[0]))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SWITCHED_T = [t for t in range(1, 13) if t not in (7, 10)]  # q = 2t+1 a prime power
+
+
+def _two_switch(g):
+    """A degree-preserving 2-switch of g away from vertex 0: the first edges
+    ab, cd among the non-neighbours of 0 with ac and bd non-edges become ac
+    and bd.  Row 0 of A @ A is unchanged, so only another row shows it."""
+    rows, far = g.rows, [v for v in range(1, g.n) if not g.rows[0] >> v & 1]
+    for a, b, c, d in ((a, b, c, d) for a in far for b in far for c in far for d in far if len({a, b, c, d}) == 4):
+        if rows[a] >> b & 1 and rows[c] >> d & 1 and not rows[a] >> c & 1 and not rows[b] >> d & 1:
+            edges = {(i, j) for i in range(g.n) for j in range(i + 1, g.n) if rows[i] >> j & 1}
+            edges -= {tuple(sorted(e)) for e in ((a, b), (c, d))}
+            return Graph(g.n, edges | {tuple(sorted(e)) for e in ((a, c), (b, d))})
+    raise AssertionError("no 2-switch")
+
+
+def _near_misses():
+    """Regular graphs whose common-neighbour counts are not constant."""
+    cube = Graph(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b])
+    return [cycle(6), cube, _two_switch(build_extremal_srg(2))]
+
+
+def test_near_misses_are_regular_but_not_strongly_regular():
+    for g in _near_misses():
+        degs = g.dense().sum(axis=1)
+        assert (degs == degs[0]).all() and 0 < degs[0] < g.n - 1
+        assert srg_params(g) is None and _srg_by_gather(g.dense()) is None
+
+
+def test_srg_params_equals_the_gather_version():
+    graphs = [parse_graph6(p.read_text().split()[0]) for p in sorted(GOLDEN.glob("construct_*.stdout"))]
+    assert len(graphs) == 15
+    for t in SWITCHED_T:
+        sw = build_switched_srg(t)
+        graphs += [sw, complement(sw)]
+    graphs += [paley_graph(q) for q in (5, 9, 13, 17, 25, 29, 401)]
+    graphs += [parse_graph6(line) for line in (GOLDEN / "corpus.g6").read_text().split()]
+    graphs += _near_misses()
+    for g in graphs:
+        a = g.dense()
+        assert srg_params(a) == _srg_by_gather(a), g
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_srg_params_equals_the_gather_version_in_any_block_size(rows, monkeypatch):
+    srg = importlib.import_module("huckel.srg")
+    monkeypatch.setattr(srg, "_BLOCK_ROWS", rows)
+    for g in [build_extremal_srg(2), paley_graph(13)] + _near_misses():
+        a = g.dense()
+        assert srg_params(a) == _srg_by_gather(a), g
+    assert srg_params(paley_graph(13)) == conference_params(13)
+
+
+def test_srg_params_holds_one_block_beside_the_matrix():
+    g = build_extremal_srg(12)
+    tracemalloc.start()
+    try:
+        assert srg_params(g) == extremal_family_params(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6  # the t = 12 matrix is 3.1 MB, one 256-row block 1.3 MB
+
