@@ -56,6 +56,7 @@ _FLUSH = 4096  # corpus records of one order swept together
 _FLUSH_CELLS = 1 << 23  # and their pair bits at most, over 4,096 rows of C(62, 2) = 1,891
 _HOLD_BYTES = 1 << 24  # corpus body bytes buffered over all orders; past it the oldest buffer is swept
 _SOLVE_CELLS = 1 << 18  # adjacency entries per corpus eigensolve: 2 MB of float64
+_CLASS_CHUNK = 128  # class representatives whose pairs' polynomials are built together
 
 # A corpus segment: (order n, (k, ceil(C(n,2)/6)) uint8 graph6 bodies less 63, k stream positions).
 Segment = Tuple[int, np.ndarray, np.ndarray]
@@ -215,26 +216,24 @@ def _sections(path: str, chunk: List[Tuple[int, str]], base: int,
 
 
 class _Batch:
-    """One batch of graphs of order n (adjacency a, sizes m), eigensolved and
-    judged once: spectra w, rows non-increasing; ok, the rows that converged
-    and keep the trace/Frobenius invariants; everything the check rows read;
-    and verdicts, each check's (applicable, violated, slack, bound) rows.
-    Rows the solver flagged (not ok), and every row at an order a check
-    skips, are not applicable.  Connectivity is computed only when a check
-    asks for it, and only on the rows it names.  Given keys, one label per
-    row with equal labels contiguous and equal labels only on rows with equal
-    characteristic polynomials, the first row of each run of equal labels is
-    eigensolved for the whole run; isolated vertices and connectivity are
-    still read from each row's own a."""
+    """One batch of graphs of order n, given as (B, C(n,2)) uint8 pair bits in
+    graph6 order, eigensolved and judged once: sizes m; spectra w, rows
+    non-increasing; ok, the rows that converged and keep the trace/Frobenius
+    invariants; everything the check rows read; and verdicts, each check's
+    (applicable, violated, slack, bound) rows.  Rows the solver flagged (not
+    ok), and every row at an order a check skips, are not applicable.  Given
+    keys, contiguous labels shared only by equal characteristic polynomials,
+    the first row of each run of equal keys is eigensolved for the run (else
+    every row); only those rows and the rows tested for connectivity get matrices."""
 
-    def __init__(self, n: int, a: np.ndarray, m: np.ndarray, checks: Tuple[str, ...], tol: float,
+    def __init__(self, n: int, bits: np.ndarray, checks: Tuple[str, ...], tol: float,
                  keys: Optional[np.ndarray] = None):
-        self.n, self.a, self.m, self.tol = n, a, m, tol
-        solved, run = a, None
+        self.n, self.bits, self.tol = n, bits, tol
+        self.m = m = bits.sum(axis=1, dtype=np.int64)
+        first = np.ones(len(bits), dtype=bool)
         if keys is not None:  # equal characteristic polynomials, equal spectra: solve each run's first row
-            first = np.ones(len(m), dtype=bool)
             first[1:] = keys[1:] != keys[:-1]
-            solved, run = a[first], np.cumsum(first) - 1
+        solved, run = pair_batch(n, bits[first]), np.cumsum(first) - 1
         ok = np.ones(len(solved), dtype=bool)
         try:
             w = np.linalg.eigvalsh(solved)
@@ -245,13 +244,16 @@ class _Batch:
                     w[idx] = np.linalg.eigvalsh(solved[idx])
                 except np.linalg.LinAlgError:
                     ok[idx] = False
-        if run is not None:
-            w, ok = w[run], ok[run]
-        self.w, self.ok = w[:, ::-1], ok
+        self.w, self.ok = w[run][:, ::-1], ok[run]
         trace_ok, frobenius_ok = invariants_hold(self.w, m)
         self.ok &= trace_ok & frobenius_ok
         self.he, self.alpha, self.beta = half_spectrum(self.w)
-        self.isolated = (a.sum(axis=2) == 0.0).any(axis=1)
+        touched = np.zeros((n, len(bits)), dtype=np.uint8)  # touched[v]: v lies on a set pair bit
+        by_pair = bits.T.copy()  # one row per pair: whole rows are fast to combine
+        for j in range(1, n):  # the pairs (i, j), i < j, are rows j(j-1)/2 .. j(j+1)/2 - 1
+            touched[:j] |= (rows := by_pair[j * (j - 1) // 2:j * (j + 1) // 2])
+            touched[j] = rows.max(axis=0)
+        self.isolated = (touched == 0).any(axis=0)
         if n >= 2:
             self.f1, self.f2 = intermediate_bounds(n, m, self.alpha, self.beta)
             self.upper_nm, self.upper_nm_applies = upper_bound(n, m)[0], upper_bound_applies(n, m)
@@ -267,10 +269,9 @@ class _Batch:
         return applicable, violated(slack, bound, self.tol, check.strict) & applicable, slack, bound
 
     def connected(self, rows: np.ndarray) -> np.ndarray:
-        """Connectivity of the graphs in the rows selected by the boolean
-        mask rows; False on every other row."""
+        """Connectivity of the rows the boolean mask rows selects; False on every other row."""
         out = np.zeros(len(self.m), dtype=bool)
-        out[rows] = _batch_connected(self.a[rows])
+        out[rows] = _batch_connected(pair_batch(self.n, self.bits[rows]))
         return out
 
 
@@ -490,11 +491,6 @@ def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
     return ((masks[:, None] >> np.arange(n * (n - 1) // 2, dtype=np.int64)) & 1).astype(np.uint8)
 
 
-def _mask_batch(n: int, masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The (B, n, n) adjacency batch and edge counts of edge masks."""
-    return pair_batch(n, bits := _mask_bits(n, masks)), bits.sum(axis=1, dtype=np.int64)
-
-
 def _graph6_of(n: int, rows: np.ndarray, bits_of) -> Callable[[np.ndarray], List[str]]:
     """The report callback: the graph6 strings of the rows an index array picks; an empty pick packs nothing."""
     return lambda idx: graph6_strings(n, bits_of(n, rows[idx])) if len(idx) else []
@@ -511,7 +507,7 @@ def _piece(args):
     smallest slack, the solver's mask, and each check's (applicable,
     violated, slack) rows."""
     n, masks, checks, tol, keys = args
-    b = _Batch(n, *_mask_batch(n, masks), checks, tol, keys)
+    b = _Batch(n, _mask_bits(n, masks), checks, tol, keys)
     flag = ~b.ok
     for name, (applicable, viol, slack, bound) in b.verdicts.items():
         flag |= viol | _near_decision(CHECKS[name], b, applicable, slack, bound, tol)
@@ -532,7 +528,7 @@ def _charpolys(n: int, reps: np.ndarray) -> np.ndarray:
     the 2^k products s s^T.  Every entry is an integer far below 2^53, so
     the float64 arithmetic is exact."""
     k = n - 1
-    a = _mask_batch(k, reps)[0]
+    a = pair_batch(k, _mask_bits(k, reps))
     powers = [np.broadcast_to(np.eye(k), a.shape)]
     for _ in range(k):
         powers.append(powers[-1] @ a)
@@ -557,12 +553,18 @@ def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     last n-1 mask bits; their weights, the orbit size of H; and the rank of
     their characteristic polynomial (_charpolys) among the distinct ones.
     The pairs are sorted by polynomial, so cospectral pairs are contiguous;
-    the sort is stable.  Ranks rather than the polynomials go on to pass 1:
-    8 bytes a pair instead of 8n."""
+    the sort is stable.  They are built _CLASS_CHUNK classes at a time into
+    int16, which holds every coefficient through order 9 (504 at most; a wider
+    one raises), and ranks, not polynomials, go on to pass 1."""
     reps, sizes = _classes(n - 1)
     span = 1 << (n - 1)
     masks = reps[:, None] | np.arange(span, dtype=np.int64) << ((n - 1) * (n - 2) // 2)
-    polys = _charpolys(n, reps)
+    polys = np.empty((len(reps) * span, n), dtype=np.int16)
+    for lo in range(0, len(reps), _CLASS_CHUNK):
+        chunk = _charpolys(n, reps[lo:lo + _CLASS_CHUNK])
+        if np.abs(chunk).max() > np.iinfo(np.int16).max:
+            raise OverflowError(f"a characteristic polynomial of order {n} has a coefficient beyond int16")
+        polys[lo * span:lo * span + len(chunk)] = chunk
     order = np.lexsort(polys.T[::-1])
     polys = polys[order]
     ranks = np.zeros(len(polys), dtype=np.int64)
@@ -583,7 +585,8 @@ def _process_classes(
     counted weights[i] times: the classes of order n with their orbit sizes,
     or sweep_labeled's augmentation pairs.  keys, if given, label the masks
     by characteristic polynomial, equal labels contiguous (_pairs' ranks);
-    each piece of pass 1 eigensolves one row per run of them (_Batch).
+    each piece eigensolves one row per run of equal keys (_Batch), and the
+    masks, distinct, are their own keys without them and in pass 2.
 
     Both passes judge their masks piece by piece (_piece) and keep only
     each check's row verdicts.  In pass 1 a mask is flagged if the solver
@@ -604,16 +607,15 @@ def _process_classes(
     with (ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext()) as pool:
         pmap = map if pool is None else pool.map
 
-        def solve(rows: np.ndarray, keys: Optional[np.ndarray] = None):
-            """flag, ok and each check's verdicts of the masks rows, judged
-            piece by piece and concatenated in order."""
-            pieces = _pieces(rows, parts)
-            keyed = [None] * len(pieces) if keys is None else _pieces(keys, parts)
-            done = list(pmap(_piece, [(n, p, checks, tol, k) for p, k in zip(pieces, keyed)]))
+        def solve(rows: np.ndarray, keys: np.ndarray):
+            """flag, ok and each check's verdicts of the masks rows, keyed
+            as _Batch takes keys, judged piece by piece and concatenated in order."""
+            pieces = zip(_pieces(rows, parts), _pieces(keys, parts))
+            done = list(pmap(_piece, [(n, p, checks, tol, k) for p, k in pieces]))
             flag, ok = (np.concatenate([d[k] for d in done]) for k in (0, 1))
             return flag, ok, {c: [np.concatenate(col) for col in zip(*(d[2][c] for d in done))] for c in checks}
 
-        flag, ok, verdicts = solve(masks, keys)
+        flag, ok, verdicts = solve(masks, masks if keys is None else keys)
         for applicable, _, slack in verdicts.values():
             if applicable.any():
                 flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
@@ -623,10 +625,11 @@ def _process_classes(
         for r in masks[flag].tolist():
             copies = copies if r in copies else np.sort(np.concatenate((copies, _orbit(n, r))))
         keep = ~np.isin(masks, copies, assume_unique=True)  # masks are distinct; copies sorted, distinct
-        _tally(rep, ok[keep], {c: [x[keep] for x in v] for c, v in verdicts.items()},
-               _graph6_of(n, masks[keep], _mask_bits), weights[keep])
+        for c, v in verdicts.items():  # one check's rows copied at a time: a smaller peak
+            verdicts[c] = [x[keep] for x in v]
+        _tally(rep, ok[keep], verdicts, _graph6_of(n, masks[keep], _mask_bits), weights[keep])
         if len(copies):
-            _tally(rep, *solve(copies)[1:], _graph6_of(n, copies, _mask_bits))
+            _tally(rep, *solve(copies, copies)[1:], _graph6_of(n, copies, _mask_bits))
     return rep
 
 
@@ -668,7 +671,7 @@ def sweep_labeled(
     rep = SweepReport.for_checks(n, checks)
     with _dump_writer(dump_path) as dump:
         for piece in _pieces(np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), 1):
-            _add_batch(rep, _Batch(n, *_mask_batch(n, piece), checks, tol), _graph6_of(n, piece, _mask_bits), dump)
+            _add_batch(rep, _Batch(n, _mask_bits(n, piece), checks, tol), _graph6_of(n, piece, _mask_bits), dump)
     return rep.finalize()
 
 
@@ -704,10 +707,7 @@ def sweep(
         for lo in range(0, len(bodies), step):
             sub = bodies[lo:lo + step]
             # Built inside the call, so no name keeps a sub-batch alive while the next is built.
-            # A body's set bits are its pair bits, as its padding is zero.
-            _add_batch(reports[n], _Batch(n, pair_batch(n, _body_bits(n, sub)),
-                                          np.bitwise_count(sub).sum(axis=1, dtype=np.int64), checks, tol),
-                       _graph6_of(n, sub, _body_bits), dump)
+            _add_batch(reports[n], _Batch(n, _body_bits(n, sub), checks, tol), _graph6_of(n, sub, _body_bits), dump)
         return bodies.nbytes
 
     with _dump_writer(dump_path) as dump:

@@ -127,8 +127,9 @@ def old_sweep(graphs, checks=S.ALL_CHECKS, tol=VIOLATION_TOL, dump_path=None):
         if n not in reports:
             reports[n] = S.SweepReport.for_checks(n, checks)
         a = dense_batch(buf, n)
-        m_arr = (a.sum(axis=(1, 2)) / 2).astype(np.int64)
-        S._add_batch(reports[n], S._Batch(n, a, m_arr, checks, tol), lambda idx: [write_graph6(buf[i]) for i in idx],
+        j, i = np.tril_indices(n, -1)  # pairs (i, j) in graph6 order: the strict lower triangle, row-major
+        bits = a[:, j, i].astype(np.uint8)
+        S._add_batch(reports[n], S._Batch(n, bits, checks, tol), lambda idx: [write_graph6(buf[i]) for i in idx],
                      dump)
 
     with S._dump_writer(dump_path) as dump:

@@ -99,3 +99,42 @@ def test_a_golden_with_one_witness_added_or_removed_fails(check, change, tmp_pat
     copied = tmp_path / f"verify_n{n}.stdout"
     copied.write_text(json.dumps(report))
     assert problems(copied, n) != []
+
+
+# Labeled graphs on n vertices without an isolated vertex, n = 0..8: OEIS A006129.
+A006129 = [1, 0, 1, 4, 41, 768, 27_449, 1_887_284, 252_522_481]
+
+
+def applicable_counts(n: int) -> dict:
+    """check -> the labeled graphs of order n in its domain, from closed forms:
+    the graphs with at least m0 edges are sum_{m >= m0} C(N, m), N = C(n, 2),
+    and the labeled trees n^(n-2) (Cayley)."""
+    pairs = n * (n - 1) // 2
+
+    def at_least(m0):
+        return sum(math.comb(pairs, m) for m in range(max(m0, 0), pairs + 1))
+
+    odd = n % 2 == 1 and n >= 3
+    return {
+        "upper_n": 1 << pairs,
+        "lower": A006129[n],
+        "upper_nm": (1 << pairs) if n % 2 == 0 else at_least(n - 1) if odd else 0,
+        "odd_strict": at_least(n - 1) if odd else 0,
+        "intermediate": at_least(n - 1) if n in (2, 4, 5, 6, 7, 8) else 0,
+        "lemma1": at_least(n) + (n ** (n - 2) if n >= 4 else 0) if n >= 3 else 0,
+    }
+
+
+def test_the_closed_forms_give_the_stated_counts():
+    assert applicable_counts(7)["intermediate"] == 2_097_152 - 27_896
+    assert applicable_counts(5)["lemma1"] == 638 + 125
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_golden_counts_equal_the_closed_forms(n):
+    (rep,) = json.loads((GOLDEN / f"verify_n{n}.stdout").read_text())["reports"]
+    assert rep["n"] == n and rep["graph_count"] == 1 << (n * (n - 1) // 2)
+    got = {check: c["checked"] - c["not_applicable"] for check, c in rep["checks"].items()}
+    assert got == applicable_counts(n)
+    assert all(c["checked"] == rep["graph_count"] and c["holds"] + c["violated"] == got[check]
+               for check, c in rep["checks"].items())

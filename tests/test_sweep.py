@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,14 @@ import pytest
 
 from huckel.bounds import lemma1_check, lower_bound, upper_bound, upper_bound_applies, upper_bound_order
 from conftest import complete, corpus_graphs, cycle, graph_records, mask_graph6, path, star
-from huckel.graphs import Graph, add_isolated_vertex, pair_order, parse_graph6
+from huckel.graphs import Graph, _body_bits, add_isolated_vertex, pair_batch, pair_order, parse_graph6
 from huckel.spectra import DUST_TOL, TIGHT_TOL, energy
 from huckel.sweep import (
     ALL_CHECKS,
     CHECKS,
     SweepReport,
     _batch_connected,
-    _mask_batch,
+    _mask_bits,
     corpus_records,
     sweep,
     sweep_labeled,
@@ -132,7 +133,7 @@ def flood_fill_connected(g: Graph) -> bool:
 
 def test_batch_connected_matches_flood_fill():
     masks = np.arange(1 << 10)
-    got = _batch_connected(_mask_batch(5, masks)[0])
+    got = _batch_connected(pair_batch(5, _mask_bits(5, masks)))
     expected = np.array([flood_fill_connected(parse_graph6(mask_graph6(5, int(mask)))) for mask in masks])
     assert (got == expected).all()
     assert int(got.sum()) == 728  # connected labeled graphs on 5 vertices
@@ -405,7 +406,7 @@ def test_orbit_sweep_matches_every_labeled_graph(n, options, monkeypatch):
 
 def _copies(n, masks):
     """The _Batch and check verdicts of graphs given by edge masks."""
-    b = sweep_module._Batch(n, *sweep_module._mask_batch(n, masks), ALL_CHECKS, 1e-8)
+    b = sweep_module._Batch(n, _mask_bits(n, masks), ALL_CHECKS, 1e-8)
     return b, b.verdicts
 
 
@@ -528,7 +529,27 @@ def test_pair_polynomials_equal_faddeev_leverrier(n):
         at = np.random.default_rng(8).choice(len(masks), 20_000, replace=False)
         masks, polys = masks[at], polys[at]
     assert polys.dtype == np.int64
-    assert np.array_equal(polys, _faddeev_leverrier(sweep_module._mask_batch(n, masks)[0])[:, 1:])
+    assert np.array_equal(polys, _faddeev_leverrier(pair_batch(n, _mask_bits(n, masks)))[:, 1:])
+
+
+def test_pair_polynomials_are_built_by_chunks_into_int16(monkeypatch):
+    # Every pair's polynomial at once took 30 MB at order 8, as float64, an
+    # int64 copy and a sorted copy.
+    sweep_module._classes(7)  # _perm_bits(7), cached, is not the pairs' memory
+    tracemalloc.start()
+    try:
+        sweep_module._pairs(8)
+        assert tracemalloc.get_traced_memory()[1] < 15e6
+    finally:
+        tracemalloc.stop()
+    build = sweep_module._charpolys
+    for widest, fits in ((32_767, True), (-32_767, True), (40_000, False), (-40_000, False)):
+        monkeypatch.setattr(sweep_module, "_charpolys", lambda n, reps: np.where(build(n, reps) == -2, widest, 0))
+        if fits:
+            sweep_module._pairs(4)
+        else:
+            with pytest.raises(OverflowError, match="beyond int16"):
+                sweep_module._pairs(4)
 
 
 @pytest.mark.parametrize("n, distinct", [(5, 33), (6, 151), (7, 988), (8, 11_453)])
@@ -539,7 +560,7 @@ def test_cospectral_pairs_share_one_spectrum(n, distinct):
     masks, _, ranks = sweep_module._pairs(n)
     assert np.array_equal(np.unique(ranks), np.arange(distinct))
     assert (np.diff(ranks) >= 0).all()
-    a = sweep_module._mask_batch(n, masks)[0]
+    a = pair_batch(n, _mask_bits(n, masks))
     polys = _faddeev_leverrier(a)
     first = np.concatenate(([True], ranks[1:] != ranks[:-1]))
     assert np.array_equal(polys, polys[first][ranks])
@@ -553,7 +574,8 @@ def test_a_run_shares_its_solve_and_its_solver_failure(monkeypatch):
     masks, _, run = sweep_module._pairs(n)
     first = np.concatenate(([True], run[1:] != run[:-1]))
     failing = int(np.flatnonzero(np.bincount(run) > 1)[0])  # a run of several pairs
-    a, m = sweep_module._mask_batch(n, masks)
+    bits = _mask_bits(n, masks)
+    a = pair_batch(n, bits)
     bad = a[np.flatnonzero(first)[failing]].copy()
     solve = np.linalg.eigvalsh
 
@@ -563,7 +585,7 @@ def test_a_run_shares_its_solve_and_its_solver_failure(monkeypatch):
         return solve(x)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
-    b = sweep_module._Batch(n, a, m, ALL_CHECKS, 1e-8, run)
+    b = sweep_module._Batch(n, bits, ALL_CHECKS, 1e-8, run)
     monkeypatch.setattr(np.linalg, "eigvalsh", solve)
     assert np.array_equal(~b.ok, run == failing)
     own = solve(a)[:, ::-1]
@@ -649,6 +671,66 @@ def test_each_row_is_eigensolved_once(n, polynomials, copies, monkeypatch):
     assert len(counts) == pieces + 1
     assert polynomials + copies <= sum(counts) <= polynomials + (pieces - 1) + copies
     assert counts[-1] == copies
+
+
+@pytest.mark.parametrize("n, pairs", [(7, 9_984), (8, 133_632)])
+def test_matrices_are_built_only_for_rows_solved_or_tested_for_connectivity(n, pairs, monkeypatch):
+    # Pass 1 reads each pair's size and isolated vertices from its bits; an
+    # adjacency matrix of order n is built for a row only to eigensolve it or
+    # to test its connectivity.
+    counts, built, tested = _count_eigensolved(monkeypatch), [], []
+    build, connected = sweep_module.pair_batch, sweep_module._batch_connected
+
+    def counted(k, bits, *args):
+        if k == n:
+            built.append(len(bits))
+        return build(k, bits, *args)
+
+    monkeypatch.setattr(sweep_module, "pair_batch", counted)
+    monkeypatch.setattr(sweep_module, "_batch_connected", lambda a: tested.append(len(a)) or connected(a))
+    sweep_labeled(n)
+    assert sum(built) == sum(counts) + sum(tested)
+    assert sum(built) < pairs
+
+
+def _isolated_oracle(n, bits):
+    return (pair_batch(n, bits).sum(axis=2) == 0).any(axis=1)
+
+
+def _planted_isolation(n, rng):
+    """Pair bits of order n at several densities, some rows with one vertex
+    cut off (the first, the last or one between), in graph6 order."""
+    bits = (rng.random((60, n * (n - 1) // 2)) < np.repeat([0.0, 0.01, 0.03, 0.1, 0.5, 1.0], 10)[:, None])
+    a = pair_batch(n, bits.astype(np.uint8))
+    for row, v in zip(range(0, 60, 3), itertools.cycle((0, n - 1, n // 2))):
+        a[row, v, :] = a[row, :, v] = 0
+    j, i = np.tril_indices(n, -1)
+    return a[:, j, i].astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_isolated_vertices_from_the_bits_of_every_labeled_graph(n):
+    bits = _mask_bits(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.int64))
+    isolated = sweep_module._Batch(n, bits, ALL_CHECKS, 1e-8).isolated
+    assert np.array_equal(isolated, _isolated_oracle(n, bits))
+    assert int((~isolated).sum()) == [1, 0, 1, 4, 41, 768, 27_449][n]  # OEIS A006129
+
+
+def test_isolated_vertices_from_the_bits_of_corpus_and_long_form_graphs():
+    path = Path(__file__).resolve().parent / "golden" / "corpus.g6"
+    by_order = {}
+    for section in corpus_records(str(path)):
+        for n, bodies, _ in section:
+            by_order.setdefault(n, []).append(_body_bits(n, bodies))
+    rng = np.random.default_rng(94)
+    by_order.update({n: [_planted_isolation(n, rng)] for n in (63, 94)})
+    seen = set()
+    for n, parts in sorted(by_order.items()):
+        bits = np.concatenate(parts)
+        isolated = sweep_module._Batch(n, bits, ALL_CHECKS, 1e-8).isolated
+        assert np.array_equal(isolated, _isolated_oracle(n, bits)), n
+        seen.update(isolated.tolist())
+    assert seen == {False, True} and {63, 94} < set(by_order)
 
 
 def test_each_corpus_record_is_eigensolved_once(monkeypatch):
