@@ -255,10 +255,7 @@ def _cmd_verify(args) -> int:
     checks = tuple(args.checks.split(",")) if args.checks is not None else ALL_CHECKS
     try:
         if args.n is not None:
-            jobs = 1 if args.jobs is None else args.jobs
-            reports = [sweep_labeled(args.n, checks=checks, tol=args.tol, jobs=jobs, dump_path=args.dump)]
-        elif args.jobs is not None:
-            raise ValueError("--jobs applies to --n only; a corpus is swept serially")
+            reports = [sweep_labeled(args.n, checks=checks, tol=args.tol, dump_path=args.dump)]
         else:
             graphs = corpus_records(args.corpus, on_error="skip" if args.skip_bad else "raise")
             reports = sweep(graphs, checks=checks, tol=args.tol, dump_path=args.dump)
@@ -331,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int, help="exhaustive sweep over all labeled graphs of this order (at most 8)")
     group.add_argument("--corpus", help="graph6 file to sweep")
     p.add_argument("--checks", help=f"comma-separated subset of: {','.join(ALL_CHECKS)}")
-    p.add_argument("--jobs", type=int, help="worker processes for --n (default 1)")
+    p.add_argument("--jobs", type=int, choices=[1], help="kept for existing scripts; every sweep runs in one process")
     p.add_argument("--tol", type=_tolerance, default=VIOLATION_TOL, help="violation tolerance, relative, in [0, 1]")
-    p.add_argument("--dump", help="write per-graph CSV rows to this file (serial only)")
+    p.add_argument("--dump", help="write per-graph CSV rows to this file")
     p.add_argument("--skip-bad", action="store_true", help="skip malformed corpus records")
     p.set_defaults(func=_cmd_verify)
 

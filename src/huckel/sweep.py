@@ -8,16 +8,14 @@ labeled copies only of the classes near a decision point.  Its first pass
 sorts these pairs by their exact integer characteristic polynomial
 (_charpolys) and eigensolves one pair per run of equal polynomials.  Each
 batch is judged once (_Batch), and one tally (_tally) adds its rows to the
-report of its order; a sweep cut into pieces, serial or multiprocess,
-tallies their rows in order, so it gives the serial report.
+report of its order; a sweep cut into pieces tallies their rows in order.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -487,8 +485,10 @@ def _near_decision(check: Check, b: _Batch, applicable, slack, bound, tol: float
 
 
 def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
-    """The (B, C(n,2)) uint8 pair bits of edge masks: bit k of a mask is pair k."""
-    return ((masks[:, None] >> np.arange(n * (n - 1) // 2, dtype=np.int64)) & 1).astype(np.uint8)
+    """The (B, C(n,2)) uint8 pair bits of edge masks: bit k of a mask is pair k,
+    unpacked from the masks' little-endian bytes."""
+    return np.unpackbits(masks.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1,
+                         count=n * (n - 1) // 2, bitorder="little")
 
 
 def _graph6_of(n: int, rows: np.ndarray, bits_of) -> Callable[[np.ndarray], List[str]]:
@@ -496,17 +496,15 @@ def _graph6_of(n: int, rows: np.ndarray, bits_of) -> Callable[[np.ndarray], List
     return lambda idx: graph6_strings(n, bits_of(n, rows[idx])) if len(idx) else []
 
 
-def _pieces(masks: np.ndarray, parts: int) -> List[np.ndarray]:
-    """masks cut in order into at least parts pieces of at most _BATCH rows."""
-    return [p for p in np.array_split(masks, max(parts, -(-len(masks) // _BATCH))) if len(p)]
+def _pieces(masks: np.ndarray) -> List[np.ndarray]:
+    """masks cut in order into near-equal pieces of at most _BATCH rows."""
+    return np.array_split(masks, max(1, -(-len(masks) // _BATCH)))
 
 
-def _piece(args):
+def _piece(n: int, masks: np.ndarray, checks: Tuple[str, ...], tol: float, keys: np.ndarray):
     """Eigensolve and judge one piece of masks, one solve per run of equal
-    keys if keys are given (_Batch): the rows to expand by every rule but the
-    smallest slack, the solver's mask, and each check's (applicable,
-    violated, slack) rows."""
-    n, masks, checks, tol, keys = args
+    keys (_Batch): the rows to expand by every rule but the smallest slack,
+    the solver's mask, and each check's (applicable, violated, slack) rows."""
     b = _Batch(n, _mask_bits(n, masks), checks, tol, keys)
     flag = ~b.ok
     for name, (applicable, viol, slack, bound) in b.verdicts.items():
@@ -578,7 +576,6 @@ def _process_classes(
     weights: np.ndarray,
     checks: Tuple[str, ...],
     tol: float,
-    jobs: int = 1,
     keys: Optional[np.ndarray] = None,
 ) -> SweepReport:
     """Sweep the labeled graphs on n vertices that masks stand for, mask i
@@ -595,41 +592,32 @@ def _process_classes(
     all masks).  The class of each flagged mask is expanded once into its
     labeled copies, which pass 2 judges in ascending mask order.  Every mask
     in an expanded class is dropped from the weighted tally; every other
-    mask is tallied once with its weight, then every copy once.  With
-    jobs > 1 both passes run their pieces in at most jobs worker processes,
-    but expansion is decided on the whole list.
+    mask is tallied once with its weight, then every copy once.
     """
     rep = SweepReport.for_checks(n, checks)
-    parts = 1 if jobs == 1 else min(8 * jobs, max(1, int(weights.sum()) >> 10))
-    workers = min(jobs, os.cpu_count() or 1, parts)
-    if jobs > 1:  # imported only here: it loads multiprocessing, which a serial sweep does not use
-        from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext()) as pool:
-        pmap = map if pool is None else pool.map
 
-        def solve(rows: np.ndarray, keys: np.ndarray):
-            """flag, ok and each check's verdicts of the masks rows, keyed
-            as _Batch takes keys, judged piece by piece and concatenated in order."""
-            pieces = zip(_pieces(rows, parts), _pieces(keys, parts))
-            done = list(pmap(_piece, [(n, p, checks, tol, k) for p, k in pieces]))
-            flag, ok = (np.concatenate([d[k] for d in done]) for k in (0, 1))
-            return flag, ok, {c: [np.concatenate(col) for col in zip(*(d[2][c] for d in done))] for c in checks}
+    def solve(rows: np.ndarray, keys: np.ndarray):
+        """flag, ok and each check's verdicts of the masks rows, keyed
+        as _Batch takes keys, judged piece by piece and concatenated in order."""
+        done = [_piece(n, p, checks, tol, k) for p, k in zip(_pieces(rows), _pieces(keys))]
+        flag, ok = (np.concatenate([d[k] for d in done]) for k in (0, 1))
+        return flag, ok, {c: [np.concatenate(col) for col in zip(*(d[2][c] for d in done))] for c in checks}
 
-        flag, ok, verdicts = solve(masks, masks if keys is None else keys)
-        for applicable, _, slack in verdicts.values():
-            if applicable.any():
-                flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
-        copies = np.zeros(0, np.int64)
-        # A flagged mask in an orbit already expanded adds nothing; other
-        # orbits are disjoint from copies, so sorting the two is their union.
-        for r in masks[flag].tolist():
-            copies = copies if r in copies else np.sort(np.concatenate((copies, _orbit(n, r))))
-        keep = ~np.isin(masks, copies, assume_unique=True)  # masks are distinct; copies sorted, distinct
-        for c, v in verdicts.items():  # one check's rows copied at a time: a smaller peak
-            verdicts[c] = [x[keep] for x in v]
-        _tally(rep, ok[keep], verdicts, _graph6_of(n, masks[keep], _mask_bits), weights[keep])
-        if len(copies):
-            _tally(rep, *solve(copies, copies)[1:], _graph6_of(n, copies, _mask_bits))
+    flag, ok, verdicts = solve(masks, masks if keys is None else keys)
+    for applicable, _, slack in verdicts.values():
+        if applicable.any():
+            flag |= applicable & (slack <= slack[applicable].min() + DUST_TOL)
+    copies = np.zeros(0, np.int64)
+    # A flagged mask in an orbit already expanded adds nothing; other
+    # orbits are disjoint from copies, so sorting the two is their union.
+    for r in masks[flag].tolist():
+        copies = copies if r in copies else np.sort(np.concatenate((copies, _orbit(n, r))))
+    keep = ~np.isin(masks, copies, assume_unique=True)  # masks are distinct; copies sorted, distinct
+    for c, v in verdicts.items():  # one check's rows copied at a time: a smaller peak
+        verdicts[c] = [x[keep] for x in v]
+    _tally(rep, ok[keep], verdicts, _graph6_of(n, masks[keep], _mask_bits), weights[keep])
+    if len(copies):
+        _tally(rep, *solve(copies, copies)[1:], _graph6_of(n, copies, _mask_bits))
     return rep
 
 
@@ -637,7 +625,6 @@ def sweep_labeled(
     n: int,
     checks: Sequence[str] = ALL_CHECKS,
     tol: float = VIOLATION_TOL,
-    jobs: int = 1,
     dump_path: Optional[str] = None,
 ) -> SweepReport:
     """Sweep every labeled graph on n vertices (n <= 8).
@@ -650,27 +637,20 @@ def sweep_labeled(
     distinct characteristic polynomial, and evaluates copy by copy only the
     classes near a decision point, so the report equals a sweep of every
     labeled graph.  Dumping per-graph CSV rows evaluates every copy,
-    in edge-mask order; it requires the serial path and n <= 7.  jobs > 1
-    cuts each pass into up to 8*jobs parts, one per 1024 labeled graphs;
-    the report is identical to the serial one.  At most
-    min(jobs, CPU count, part count) worker processes start.
+    in edge-mask order; it requires n <= 7.
     """
     if not (1 <= n <= ENUM_MAX_N):
         raise ValueError(f"exhaustive sweep needs 1 <= n <= {ENUM_MAX_N}, got n={n}")
     checks = _validate_checks(checks)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if dump_path is not None and jobs > 1:
-        raise ValueError("per-graph CSV dump requires jobs=1")
     if dump_path is not None and n > _DUMP_MAX_N:
         raise ValueError(f"per-graph CSV dump needs n <= {_DUMP_MAX_N}; n={n} would write "
                          f"{1 << (n * (n - 1) // 2):,} rows")
     if not dump_path:
         masks, weights, keys = _pairs(n)
-        return _process_classes(n, masks, weights, checks, tol, jobs=jobs, keys=keys).finalize()
+        return _process_classes(n, masks, weights, checks, tol, keys=keys).finalize()
     rep = SweepReport.for_checks(n, checks)
     with _dump_writer(dump_path) as dump:
-        for piece in _pieces(np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), 1):
+        for piece in _pieces(np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)):
             _add_batch(rep, _Batch(n, _mask_bits(n, piece), checks, tol), _graph6_of(n, piece, _mask_bits), dump)
     return rep.finalize()
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from huckel.cli import main
+from huckel.cli import build_parser, main
 from huckel.sweep import sweep_labeled
 
 
@@ -294,28 +295,25 @@ def test_verify_reports_violations(capsys, monkeypatch):
     assert payload["reports"][0]["violation_examples"]["upper_n"] == ["Bw"]
 
 
-def test_verify_jobs_env_parity(capsys):
-    code, serial, _ = run(capsys, ["verify", "--n", "4"])
-    assert code == 0
-    code, flagged, _ = run(capsys, ["verify", "--n", "4", "--jobs", "2"])
-    assert code == 0
-    assert flagged == serial
-
-
 GOLDEN_CORPUS = str(Path(__file__).resolve().parent / "golden" / "corpus.g6")
 
 
-@pytest.mark.parametrize("argv,needle", [
-    (["verify", "--n", "3", "--jobs", "0"], "jobs must be >= 1"),
-    (["verify", "--n", "3", "--jobs", "-5"], "jobs must be >= 1"),
-    (["verify", "--corpus", GOLDEN_CORPUS, "--jobs", "4"], "--jobs applies to --n only"),
-    (["verify", "--corpus", GOLDEN_CORPUS, "--jobs", "1"], "--jobs applies to --n only"),
-])
-def test_verify_jobs_where_it_does_nothing(capsys, argv, needle):
-    code, out, err = run(capsys, argv)
-    assert code == 2 and out == ""
-    (line,) = err.splitlines()
-    assert line.startswith("error:") and needle in line
+@pytest.mark.parametrize("source", [["--n", "4"], ["--corpus", GOLDEN_CORPUS]])
+def test_verify_jobs_1_changes_nothing(capsys, source):
+    # --jobs stays for scripts that pass --jobs 1; every sweep runs in one process.
+    plain = run(capsys, ["verify", *source])
+    assert plain[0] == 0
+    assert run(capsys, ["verify", *source, "--jobs", "1"]) == plain
+
+
+@pytest.mark.parametrize("value,needle", [("0", "invalid choice"), ("2", "invalid choice"),
+                                          ("x", "invalid int value")])
+def test_verify_jobs_other_than_1_is_a_usage_error(capsys, value, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3", "--jobs", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and needle in err
 
 
 @pytest.mark.parametrize("source", [["--n", "3"], ["--corpus", GOLDEN_CORPUS]])
@@ -399,6 +397,22 @@ def test_bound_scan_limit_is_the_order_limit(capsys):
     # One (n, m) evaluation takes constant time and keeps any order.
     code, out, err = run(capsys, ["bound", "--n", "1000000000", "--m", "5"])
     assert code == 0 and json.loads(out)["regime"] == "first"
+
+
+def test_readme_cli_examples_parse():
+    # Each huckel command of README's CLI block, its comment dropped, must be
+    # one the parser accepts.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [words[words.index("huckel") + 1:] for words in lines if "huckel" in words]
+    assert len(examples) >= 10
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: huckel {shlex.join(argv)}")
 
 
 def test_argparse_usage_errors():
@@ -485,8 +499,8 @@ def test_records_over_the_order_limit_are_parse_errors(capsys, tmp_path):
 
 def test_verify_and_analyze_do_not_import_numpy_ma():
     # np.unique and its set routines import numpy.ma on first use, about
-    # 10 ms and 1 MB inside every run; the process pool imports
-    # multiprocessing, which only verify --n with --jobs > 1 uses.
+    # 10 ms and 1 MB inside every run.  No run starts a process pool, so
+    # none should load multiprocessing either.
     corpus = Path(__file__).resolve().parent / "golden" / "corpus.g6"
     code = (
         "import contextlib, io, sys\n"

@@ -1,6 +1,5 @@
 """Exhaustive verification sweeps over all labeled graphs of small orders."""
 
-import concurrent.futures
 import csv
 import importlib
 import itertools
@@ -107,15 +106,13 @@ def test_sweep_order_1():
     assert rep.checks["lower"].not_applicable == 1
 
 
-def test_parallel_matches_serial():
-    serial = sweep_labeled(5)
-    parallel = sweep_labeled(5, jobs=2)
-    assert parallel.to_dict() == serial.to_dict()
+def test_order_5_half_moment_tallies():
+    rep = sweep_labeled(5)
     # Frozen half-moment tallies: 638 graphs with m >= 5 plus 125 trees.
-    assert serial.checks["lemma1"].holds == 763
-    assert serial.checks["lemma1"].not_applicable == 261
-    assert serial.checks["lemma1"].min_slack == pytest.approx(0.5599999999999987, abs=1e-12)
-    assert serial.checks["odd_strict"].min_slack == pytest.approx(0.4434806740639088, abs=1e-12)
+    assert rep.checks["lemma1"].holds == 763
+    assert rep.checks["lemma1"].not_applicable == 261
+    assert rep.checks["lemma1"].min_slack == pytest.approx(0.5599999999999987, abs=1e-12)
+    assert rep.checks["odd_strict"].min_slack == pytest.approx(0.4434806740639088, abs=1e-12)
 
 
 def flood_fill_connected(g: Graph) -> bool:
@@ -137,6 +134,30 @@ def test_batch_connected_matches_flood_fill():
     expected = np.array([flood_fill_connected(parse_graph6(mask_graph6(5, int(mask)))) for mask in masks])
     assert (got == expected).all()
     assert int(got.sum()) == 728  # connected labeled graphs on 5 vertices
+
+
+def _mask_bits_by_shifts(n, masks):
+    """The pair bits by int64 shifts, as _mask_bits built them before it unpacked bytes."""
+    return ((masks[:, None] >> np.arange(n * (n - 1) // 2, dtype=np.int64)) & 1).astype(np.uint8)
+
+
+def test_mask_bits_equal_the_shifts():
+    # Every mask of orders 0..7, in slices of 2^16, and 2^16 random masks of order 8.
+    for n in range(8):
+        for lo in range(0, 1 << (n * (n - 1) // 2), 1 << 16):
+            masks = np.arange(lo, min(lo + (1 << 16), 1 << (n * (n - 1) // 2)), dtype=np.int64)
+            got = _mask_bits(n, masks)
+            assert got.dtype == np.uint8 and np.array_equal(got, _mask_bits_by_shifts(n, masks)), (n, lo)
+    masks = np.random.default_rng(8).integers(0, 1 << 28, 1 << 16)
+    assert np.array_equal(_mask_bits(8, masks), _mask_bits_by_shifts(8, masks))
+    # One pass-1 piece of order 8: the shifts' int64 temporaries peaked at
+    # 16.5 MB for these 1.8 MB of bits.
+    tracemalloc.start()
+    try:
+        bits = _mask_bits(8, masks)
+        assert tracemalloc.get_traced_memory()[1] < 2 * bits.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_sweep_checks_subset():
@@ -174,11 +195,6 @@ def test_dump_rows(tmp_path):
     assert by_g6["B?"]["lemma1"] == "not_applicable"
     assert float(by_g6["Bw"]["he"]) == pytest.approx(3.0, abs=1e-9)
     assert by_g6["Bw"]["upper_nm_regime"] == "second"
-
-
-def test_dump_requires_serial():
-    with pytest.raises(ValueError, match="jobs=1"):
-        sweep_labeled(3, jobs=2, dump_path="/tmp/never-written.csv")
 
 
 def _bound_table_by_loop(n):
@@ -288,35 +304,6 @@ def test_report_serialization():
     assert (empty["min_slack"], empty["equality_witnesses"]) == ({"lower": None}, {"lower": []})
 
 
-def test_worker_processes_capped(monkeypatch):
-    # A recorder in place of the pool: it starts no process and runs each
-    # range in this one.
-    started = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    sweep_module = importlib.import_module("huckel.sweep")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
-    serial = sweep_labeled(6).to_dict()
-    assert sweep_labeled(6, jobs=10 ** 6).to_dict() == serial  # 32 ranges, 4 CPUs
-    assert sweep_labeled(5, jobs=3).to_dict() == sweep_labeled(5).to_dict()  # one range
-    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: None)
-    sweep_labeled(6, jobs=3)
-    assert started == [4, 1, 1]
-
-
 def test_readme_describes_the_check_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## What the checks assert", 1)[1].split("\n## ", 1)[0]
@@ -335,32 +322,6 @@ def test_readme_library_tour_runs():
     assert ns["srg_params"](ns["g"]).as_tuple() == (26, 15, 8, 9)
 
 
-class _NoPool:
-    """A stand-in for ProcessPoolExecutor that runs every part in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_parallel_witness_lists_match_serial_at_order_7(monkeypatch):
-    # Order 7 has 1,015 labeled intermediate witnesses, more than the cap, so
-    # the capped list must be the smallest strings whatever the part order.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    serial = sweep_labeled(7)
-    assert serial.checks["intermediate"].witness_count > 1000
-    assert serial.checks["intermediate"].witnesses == sorted(serial.checks["intermediate"].witnesses)
-    assert sweep_labeled(7, jobs=2).to_dict() == serial.to_dict()
-
-
 # ─── the orbit-weighted sweep ───────────────────────────────────────────────
 
 sweep_module = importlib.import_module("huckel.sweep")
@@ -373,6 +334,16 @@ def _band(options, monkeypatch):
     if "band" in options:
         monkeypatch.setattr(sweep_module, "TIGHT_TOL", options.pop("band"))
     return options
+
+
+def test_order_7_witness_list_does_not_depend_on_the_pieces(monkeypatch):
+    # Order 7 has 1,015 labeled intermediate witnesses, more than the cap, so
+    # the capped list must be the smallest strings whatever the piece cuts.
+    whole = sweep_labeled(7)
+    assert whole.checks["intermediate"].witness_count > 1000
+    assert whole.checks["intermediate"].witnesses == sorted(whole.checks["intermediate"].witnesses)
+    monkeypatch.setattr(sweep_module, "_BATCH", 997)
+    assert sweep_labeled(7).to_dict() == whole.to_dict()
 
 
 def test_class_counts_match_the_atlas():
@@ -464,15 +435,6 @@ def test_violation_threshold_inside_one_class():
     oracle = sweep_labeled(n, checks=("upper_n",), tol=tol, dump_path=os.devnull)
     assert 0 < oracle.checks["upper_n"].violated
     assert sweep_labeled(n, checks=("upper_n",), tol=tol).to_dict() == oracle.to_dict()
-
-
-def test_parallel_violation_examples_match_serial(monkeypatch):
-    # A negative tolerance makes thousands of violations, more than the cap,
-    # spread over every part; the examples are still the first in mask order.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    serial = sweep_labeled(6, tol=-0.5)
-    assert serial.checks["upper_n"].violated > 20
-    assert sweep_labeled(6, tol=-0.5, jobs=4).to_dict() == serial.to_dict()
 
 
 def test_permutation_table_holds_every_mask_bit():
@@ -594,12 +556,12 @@ def test_a_run_shares_its_solve_and_its_solver_failure(monkeypatch):
     assert np.array_equal(b.isolated, (a.sum(axis=2) == 0).any(axis=1))
 
 
-def test_parallel_order_8_matches_serial(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    serial = sweep_labeled(8)
-    assert serial.graph_count == 1 << 28
-    assert serial.checks["lower"].holds == 252_522_481  # graphs without isolated vertices, OEIS A006129
-    assert sweep_labeled(8, jobs=2).to_dict() == serial.to_dict()
+def test_order_8_report_does_not_depend_on_the_pieces(monkeypatch):
+    whole = sweep_labeled(8)
+    assert whole.graph_count == 1 << 28
+    assert whole.checks["lower"].holds == 252_522_481  # graphs without isolated vertices, OEIS A006129
+    monkeypatch.setattr(sweep_module, "_BATCH", 1 << 13)
+    assert sweep_labeled(8).to_dict() == whole.to_dict()
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -608,11 +570,14 @@ def test_parallel_order_8_matches_serial(monkeypatch):
     {"checks": ("lower", "odd_strict", "lemma1")},
     {"tol": 0.0},
     {"band": 1e-3},
+    {"tol": -0.5},  # violations everywhere: the examples must be the first in mask order
 ])
 def test_pair_sweep_in_tiny_pieces_matches_every_labeled_graph(n, options, monkeypatch):
     # Pieces of 7 masks: the smallest slack must still be the one over all pieces.
     options = _band(options, monkeypatch)
     oracle = sweep_labeled(n, dump_path=os.devnull, **options)
+    if n == 6 and options.get("tol") == -0.5:  # more violations than the examples keep
+        assert oracle.checks["upper_n"].violated > sweep_module._VIOLATION_CAP
     monkeypatch.setattr(sweep_module, "_BATCH", 7)
     assert sweep_labeled(n, **options).to_dict() == oracle.to_dict()
 
@@ -667,7 +632,7 @@ def test_each_row_is_eigensolved_once(n, polynomials, copies, monkeypatch):
     # again to tally or to flag it.
     counts = _count_eigensolved(monkeypatch)
     sweep_labeled(n)
-    pieces = len(sweep_module._pieces(sweep_module._pairs(n)[0], 1))
+    pieces = len(sweep_module._pieces(sweep_module._pairs(n)[0]))
     assert len(counts) == pieces + 1
     assert polynomials + copies <= sum(counts) <= polynomials + (pieces - 1) + copies
     assert counts[-1] == copies
